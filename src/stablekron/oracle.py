@@ -3,10 +3,13 @@
 Irreducible symmetric-group characters are evaluated by the
 Murnaghan-Nakayama border-strip recursion (via first-column hook
 lengths), Kronecker coefficients by the class-weighted triple product,
-and the stable coefficient by computing at growing n until the value
-repeats past the triangle-bound threshold.  A one-step recursion
-expressing the padded coefficient through skew terms and
-horizontal-strip additions provides an independent identity check.
+and the stable coefficient by one evaluation at a stabilization bound.
+By Briand-Orellana-Rosas (2011), g(lam[n], nu[n], mu[n]) is constant
+for n >= |beta| + |gamma| + alpha_1, for any assignment of lam, nu, mu
+to the roles alpha, beta, gamma; Brion (1993) showed the sequence is
+weakly increasing in n.  A one-step recursion expressing the padded
+coefficient through skew terms and horizontal-strip additions provides
+an independent identity check.
 """
 
 from __future__ import annotations
@@ -30,6 +33,11 @@ class NonIntegral(ArithmeticError):
 
 class BudgetExceeded(RuntimeError):
     pass
+
+
+class StabilityError(ArithmeticError):
+    """The padded coefficient differs at the stabilization bound N and
+    at N + 1, so the bound or the evaluation is wrong."""
 
 
 def z_order(rho) -> int:
@@ -140,31 +148,42 @@ _stable_memo: dict[tuple, StableResult] = {}
 
 
 def stable_kronecker_oracle(lam, nu, mu, n_cap=None) -> StableResult:
-    """Compute the padded coefficient at growing n and return the first
-    value repeated at two consecutive n past the triangle threshold
-    |lam| + |nu| + |mu|, together with the onset n."""
+    """The stable Kronecker coefficient and its reported onset.
+
+    With n0 the least n at which all three paddings are partitions, the
+    value is the padded coefficient at the stabilization bound
+    N = max(n0, min over the three roles of |beta| + |gamma| + alpha_1)
+    (Briand-Orellana-Rosas 2011).  As a self-check it is also computed at
+    N + 1; a difference raises StabilityError.  The onset is
+    max(n0, |lam| + |nu| + |mu|), the first n at or past the triangle
+    threshold where two consecutive padded values agree; it is at least
+    N, so it needs no evaluation.  With n_cap below onset + 1 the call
+    raises BudgetExceeded, so no evaluation goes above n_cap."""
     lam = partition(lam)
     nu = partition(nu)
     mu = partition(mu)
-    threshold = size(lam) + size(nu) + size(mu)
-    n0 = max(size(lam) + part(lam, 1),
-             size(nu) + part(nu, 1),
-             size(mu) + part(mu, 1))
-    cap = n_cap if n_cap is not None else n0 + threshold + 8
+    sizes = (size(lam), size(nu), size(mu))
+    total = sum(sizes)
+    n0 = max(size(p) + part(p, 1) for p in (lam, nu, mu))
+    onset = max(n0, total)
     key = tuple(sorted((lam, nu, mu)))
     cached = _stable_memo.get(key)
     if cached is not None:
         return cached
-    prev = None
-    for n in range(n0, cap + 1):
-        val = kronecker(pad(lam, n), pad(nu, n), pad(mu, n))
-        if prev is not None and val == prev and n - 1 >= threshold:
-            result = StableResult(val, n - 1)
-            _stable_memo[key] = result
-            return result
-        prev = val
-    raise BudgetExceeded(f"no stabilization for ({lam}, {nu}, {mu}) "
-                         f"with n up to {cap}")
+    if n_cap is not None and n_cap < onset + 1:
+        raise BudgetExceeded(f"no stabilization for ({lam}, {nu}, {mu}) "
+                             f"with n up to {n_cap}")
+    bound = max(n0, min(total - s + part(p, 1)
+                        for p, s in zip((lam, nu, mu), sizes)))
+    value, check = (kronecker(pad(lam, n), pad(nu, n), pad(mu, n))
+                    for n in (bound, bound + 1))
+    if value != check:
+        raise StabilityError(f"padded values of ({lam}, {nu}, {mu}) differ "
+                             f"at n={bound} ({value}) and n={bound + 1} "
+                             f"({check})")
+    result = StableResult(value, onset)
+    _stable_memo[key] = result
+    return result
 
 
 def p_set(n: int, mu):

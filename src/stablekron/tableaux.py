@@ -18,9 +18,8 @@ from functools import lru_cache
 from itertools import combinations
 
 from .partitions import (
-    Undefined, composition, contains, intersect, is_copieri,
-    is_horizontal, is_maximal_depth, part, partial_sum, partition, size,
-    skew_diff_sizes,
+    composition, contains, intersect, is_copieri, is_horizontal,
+    is_maximal_depth, part, partial_sum, partition, size, skew_diff_sizes,
 )
 from .branching import Tableau, enumerate_std0, step_key, swap_adjacent
 

@@ -5,13 +5,15 @@ from math import factorial
 
 import pytest
 
+from stablekron import oracle
 from stablekron.oracle import (
-    BudgetExceeded, SizeMismatch, StableResult, class_size,
+    BudgetExceeded, SizeMismatch, StabilityError, StableResult, class_size,
     clear_character_memo, dvir_step, kronecker, mn_character, p_set,
     stable_kronecker_oracle, z_order,
 )
 from stablekron.partitions import (
-    NotAPartition, contains, is_horizontal, part, partitions_of, size,
+    NotAPartition, contains, is_horizontal, pad, part, partition,
+    partitions_of, partitions_up_to, size,
 )
 
 
@@ -26,6 +28,23 @@ def hook_dimension(lam):
                       if part(lam, k) >= j)
             prod *= arm + leg + 1
     return factorial(n) // prod
+
+
+def _scan_oracle(lam, nu, mu, n_cap=None) -> StableResult:
+    """Reference stable coefficient by scanning n: the first value
+    repeated at two consecutive n at or past the triangle threshold
+    |lam| + |nu| + |mu|, with the first of those n as onset."""
+    lam, nu, mu = partition(lam), partition(nu), partition(mu)
+    threshold = size(lam) + size(nu) + size(mu)
+    n0 = max(size(p) + part(p, 1) for p in (lam, nu, mu))
+    cap = n_cap if n_cap is not None else n0 + threshold + 8
+    prev = None
+    for n in range(n0, cap + 1):
+        val = kronecker(pad(lam, n), pad(nu, n), pad(mu, n))
+        if prev is not None and val == prev and n - 1 >= threshold:
+            return StableResult(val, n - 1)
+        prev = val
+    raise BudgetExceeded(f"no stabilization with n up to {cap}")
 
 
 class TestClassData:
@@ -129,6 +148,33 @@ class TestStableOracle:
     def test_budget(self):
         with pytest.raises(BudgetExceeded):
             stable_kronecker_oracle((3, 2), (4, 1), (2, 2, 1), n_cap=9)
+
+    def test_budget_boundary(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_stable_memo", {})
+        triple = ((3, 2), (4, 1), (2, 2, 1))
+        onset = 15
+        with pytest.raises(BudgetExceeded):
+            stable_kronecker_oracle(*triple, n_cap=onset)
+        with pytest.raises(BudgetExceeded):
+            _scan_oracle(*triple, n_cap=onset)
+        result = stable_kronecker_oracle(*triple, n_cap=onset + 1)
+        assert result == _scan_oracle(*triple, n_cap=onset + 1)
+        assert result.onset == onset
+
+    def test_self_check_raises_on_unstable_values(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_stable_memo", {})
+        monkeypatch.setattr(oracle, "kronecker",
+                            lambda lam, nu, mu: size(lam))
+        with pytest.raises(StabilityError):
+            stable_kronecker_oracle((2, 1), (2, 1), (1,))
+
+    def test_matches_scan(self):
+        pool = partitions_up_to(4)
+        for lam in pool:
+            for nu in pool:
+                for mu in pool:
+                    assert stable_kronecker_oracle(lam, nu, mu) \
+                        == _scan_oracle(lam, nu, mu), (lam, nu, mu)
 
 
 class TestHorizontalStripSet:

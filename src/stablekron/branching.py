@@ -125,6 +125,17 @@ class Tableau:
             shapes.append(cur)
         self.shapes = tuple(shapes)
 
+    @classmethod
+    def _trusted(cls, start, steps, shapes):
+        """A tableau from shapes the caller has already validated:
+        start a partition, steps a tuple of int pairs and shapes the
+        tuple of integral shapes they visit, start first."""
+        t = cls.__new__(cls)
+        t.start = start
+        t.steps = steps
+        t.shapes = shapes
+        return t
+
     @property
     def end(self):
         return self.shapes[-1]
@@ -155,42 +166,67 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
     """All standard tableaux (paths) from lam to nu in s integral steps,
     in lexicographic order of step sequences under the step order.
 
-    Depth-first with a reachability prune: a prefix at shape t needs at
-    least max(|t| - |t ∩ nu|, |nu| - |t ∩ nu|) further steps, since one
-    integral step removes at most one box and adds at most one box.
+    Depth-first over live prefixes only.  A shape t is at distance
+    max(|t| - |t ∩ nu|, |nu| - |t ∩ nu|) from nu: one integral step
+    removes at most one box and adds at most one, and pairing the
+    removals of t / (t ∩ nu) with the additions of nu / (t ∩ nu) reaches
+    nu in exactly that many steps, dummy steps using up any surplus.  So
+    a step is taken exactly when its shape's distance is at most the
+    steps left after it, and every prefix visited extends to a path.
+    Each shape's distance, and its live moves in step order for each
+    number of steps left, are memoized in dicts local to the call.
     """
     if s < 0:
         raise ValueError("s must be non-negative")
     lam = partition(lam)
     nu = partition(nu)
+    size_nu = size(nu)
     out: list[Tableau] = []
+    dist: dict[tuple, int] = {}
+    live: dict[tuple, list] = {}
 
-    def feasible(shape, remaining):
-        inter = size(intersect(shape, nu))
-        return max(size(shape) - inter, size(nu) - inter) <= remaining
+    def distance(shape):
+        d = dist.get(shape)
+        if d is None:
+            inter = size(intersect(shape, nu))
+            d = dist[shape] = max(size(shape) - inter, size_nu - inter)
+        return d
 
-    def rec(shape, steps):
-        remaining = s - len(steps)
+    def live_moves(shape, remaining):
+        """The moves from shape, in step order, whose shape is at most
+        remaining - 1 steps from nu."""
+        key = (shape, remaining)
+        cands = live.get(key)
+        if cands is None:
+            cands = []
+            for i in range(0, len(shape) + 1):
+                half = remove_box(shape, i)
+                if half is None:
+                    continue
+                for j in range(0, len(half) + 2):
+                    nxt = add_box(half, j)
+                    if nxt is not None and distance(nxt) < remaining:
+                        cands.append(((i, j), nxt))
+            cands.sort(key=lambda c: step_key(c[0]))
+            live[key] = cands
+        return cands
+
+    steps: list[Step] = []
+    shapes = [lam]
+
+    def rec(shape, remaining):
         if remaining == 0:
-            if shape == nu:
-                out.append(Tableau(lam, steps))
+            out.append(Tableau._trusted(lam, tuple(steps), tuple(shapes)))
             return
-        if not feasible(shape, remaining):
-            return
-        cands = []
-        for i in range(0, len(shape) + 1):
-            half = remove_box(shape, i)
-            if half is None:
-                continue
-            for j in range(0, len(half) + 2):
-                nxt = add_box(half, j)
-                if nxt is not None:
-                    cands.append(((i, j), nxt))
-        cands.sort(key=lambda c: step_key(c[0]))
-        for st, nxt in cands:
-            rec(nxt, steps + [st])
+        for st, nxt in live_moves(shape, remaining):
+            steps.append(st)
+            shapes.append(nxt)
+            rec(nxt, remaining - 1)
+            steps.pop()
+            shapes.pop()
 
-    rec(lam, [])
+    if distance(lam) <= s:
+        rec(lam, s)
     return out
 
 
@@ -200,17 +236,9 @@ def is_dvir(t: Tableau):
     i = 0: the path contains a (−eps_0, +eps_0) step; i >= 1: the path
     removes more than start_i boxes from row i.
     """
-    witnesses = []
-    if any(st == (0, 0) for st in t.steps):
-        witnesses.append(0)
-    removals: dict[int, int] = {}
-    for i, _ in t.steps:
-        if i > 0:
-            removals[i] = removals.get(i, 0) + 1
-    for i, cnt in removals.items():
-        if cnt > part(t.start, i):
-            witnesses.append(i)
-    return min(witnesses) if witnesses else None
+    if (0, 0) in t.steps:
+        return 0
+    return dvir_removal_witness(t)
 
 
 def dvir_removal_witness(t: Tableau):
@@ -230,17 +258,26 @@ def enumerate_std0(lam, nu, s: int) -> list[Tableau]:
     return [t for t in enumerate_std(lam, nu, s) if is_dvir(t) is None]
 
 
+def _apply(shape, step: Step):
+    """The shape after one integral step, or None if either half-step
+    leaves the partitions."""
+    half = remove_box(shape, step[0])
+    return None if half is None else add_box(half, step[1])
+
+
 def swap_adjacent(t: Tableau, k: int):
     """Exchange integral steps k and k+1 (1-indexed); None if the
     exchanged sequence is not a valid path."""
     if not 1 <= k <= len(t.steps) - 1:
         raise IndexError(f"k={k} out of range for a path of length {len(t.steps)}")
-    steps = list(t.steps)
-    steps[k - 1], steps[k] = steps[k], steps[k - 1]
-    try:
-        return Tableau(t.start, steps)
-    except NotAPath:
+    first, second = t.steps[k], t.steps[k - 1]
+    mid = _apply(t.shapes[k - 1], first)
+    # the two steps commute as box moves, so only shape k can change
+    if mid is None or _apply(mid, second) is None:
         return None
+    return Tableau._trusted(
+        t.start, t.steps[:k - 1] + (first, second) + t.steps[k + 1:],
+        t.shapes[:k] + (mid,) + t.shapes[k + 1:])
 
 
 def error_path(t: Tableau, k: int):

@@ -166,13 +166,13 @@ def stable_kronecker_oracle(lam, nu, mu, n_cap=None) -> StableResult:
     total = sum(sizes)
     n0 = max(size(p) + part(p, 1) for p in (lam, nu, mu))
     onset = max(n0, total)
+    if n_cap is not None and n_cap < onset + 1:
+        raise BudgetExceeded(f"no stabilization for ({lam}, {nu}, {mu}) "
+                             f"with n up to {n_cap}")
     key = tuple(sorted((lam, nu, mu)))
     cached = _stable_memo.get(key)
     if cached is not None:
         return cached
-    if n_cap is not None and n_cap < onset + 1:
-        raise BudgetExceeded(f"no stabilization for ({lam}, {nu}, {mu}) "
-                             f"with n up to {n_cap}")
     bound = max(n0, min(total - s + part(p, 1)
                         for p, s in zip((lam, nu, mu), sizes)))
     value, check = (kronecker(pad(lam, n), pad(nu, n), pad(mu, n))

@@ -16,6 +16,47 @@ from stablekron.partitions import (
 )
 
 
+def _reference_enumerate_std(lam, nu, s):
+    """The plain path DFS: try every move at every prefix, prune only
+    prefixes that cannot reach nu in the steps left, and rebuild each
+    path through the validating constructor."""
+    lam = partition(lam)
+    nu = partition(nu)
+    out = []
+
+    def feasible(shape, remaining):
+        inter = size(intersect(shape, nu))
+        return max(size(shape) - inter, size(nu) - inter) <= remaining
+
+    def rec(shape, steps):
+        remaining = s - len(steps)
+        if remaining == 0:
+            if shape == nu:
+                out.append(Tableau(lam, steps))
+            return
+        if not feasible(shape, remaining):
+            return
+        cands = []
+        for i in range(0, len(shape) + 1):
+            half = remove_box(shape, i)
+            if half is None:
+                continue
+            for j in range(0, len(half) + 2):
+                nxt = add_box(half, j)
+                if nxt is not None:
+                    cands.append(((i, j), nxt))
+        cands.sort(key=lambda c: step_key(c[0]))
+        for st, nxt in cands:
+            rec(nxt, steps + [st])
+
+    rec(lam, [])
+    return out
+
+
+def _as_lists(paths):
+    return [(t.start, t.steps, t.shapes) for t in paths]
+
+
 class TestSteps:
     def test_step_kinds(self):
         assert step_kind((2, 1)) == "up"
@@ -104,15 +145,21 @@ class TestEnumeration:
             assert len(set(keys)) == len(keys)
 
     def test_paths_revalidate(self):
-        # recompute every intermediate shape independently
-        for t in enumerate_std((2, 1), (3, 1), 3):
-            cur = t.start
-            for (i, j), nxt in zip(t.steps, t.shapes[1:]):
-                half = remove_box(cur, i)
-                assert half is not None
-                cur = add_box(half, j)
-                assert cur == nxt
-                partition(cur)
+        # recompute every intermediate shape independently, and through
+        # the validating constructor
+        for lam, nu, s in [((2, 1), (3, 1), 3), ((), (), 4), ((3,), (2,), 4),
+                           ((2, 2), (3, 2, 1), 3)]:
+            for t in enumerate_std(lam, nu, s):
+                cur = t.start
+                for (i, j), nxt in zip(t.steps, t.shapes[1:]):
+                    half = remove_box(cur, i)
+                    assert half is not None
+                    cur = add_box(half, j)
+                    assert cur == nxt
+                    partition(cur)
+                built = Tableau(t.start, t.steps)
+                assert t == built
+                assert t.shapes == built.shapes
 
     def test_maximal_depth_counts_are_skew_syt_counts(self):
         for nu in partitions_up_to(5):
@@ -122,6 +169,15 @@ class TestEnumeration:
                 s = size(nu) - size(lam)
                 got = len(enumerate_std(lam, nu, s))
                 assert got == brute_skew_syt_count(nu, lam)
+
+    def test_matches_reference_dfs(self):
+        pool = partitions_up_to(4)
+        for lam in pool:
+            for nu in pool:
+                for s in range(5):
+                    assert _as_lists(enumerate_std(lam, nu, s)) \
+                        == _as_lists(_reference_enumerate_std(lam, nu, s)), \
+                        (lam, nu, s)
 
     def test_bell_counts(self):
         for r in (1, 2, 3, 4):
@@ -186,6 +242,28 @@ class TestSwaps:
                     other = swap_adjacent(t, k)
                     if other is not None:
                         assert swap_adjacent(other, k) == t
+
+
+    def test_swap_matches_validation(self):
+        # the local check agrees with rebuilding the swapped sequence
+        pool = partitions_up_to(3)
+        for lam in pool:
+            for nu in pool:
+                for s in range(2, 5):
+                    for t in enumerate_std(lam, nu, s):
+                        for k in range(1, s):
+                            steps = list(t.steps)
+                            steps[k - 1], steps[k] = steps[k], steps[k - 1]
+                            try:
+                                built = Tableau(t.start, steps)
+                            except NotAPath:
+                                built = None
+                            got = swap_adjacent(t, k)
+                            if built is None:
+                                assert got is None, (t, k)
+                            else:
+                                assert got == built, (t, k)
+                                assert got.shapes == built.shapes, (t, k)
 
 
 class TestErrorPaths:

@@ -161,6 +161,18 @@ class TestStableOracle:
         assert result == _scan_oracle(*triple, n_cap=onset + 1)
         assert result.onset == onset
 
+    def test_budget_ignores_the_memo(self, monkeypatch):
+        # a capped call raises the same way cold and after an uncapped
+        # call on the same triple has filled the memo
+        monkeypatch.setattr(oracle, "_stable_memo", {})
+        triple = ((3, 2), (4, 1), (2, 2, 1))
+        with pytest.raises(BudgetExceeded) as cold:
+            stable_kronecker_oracle(*triple, n_cap=9)
+        assert stable_kronecker_oracle(*triple) == StableResult(29, 15)
+        with pytest.raises(BudgetExceeded) as warm:
+            stable_kronecker_oracle(*triple, n_cap=9)
+        assert str(warm.value) == str(cold.value)
+
     def test_self_check_raises_on_unstable_values(self, monkeypatch):
         monkeypatch.setattr(oracle, "_stable_memo", {})
         monkeypatch.setattr(oracle, "kronecker",

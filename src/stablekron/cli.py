@@ -2,8 +2,9 @@
 classification, oracle cross-checks, and verification sweeps.
 
 Exit codes: 2 for unparsable input, 3 when the tableau rule does not
-apply and no oracle fallback was requested, 1 for verification
-failures.
+apply and no oracle fallback was requested, 4 when the oracle needs an
+n above --n-cap (`coeff` and `verify`; `oracle` reports the cap and
+exits 0), 1 for verification failures.
 """
 
 from __future__ import annotations
@@ -23,6 +24,15 @@ def _parse(text: str):
     except NotAPartition as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
+
+
+def _oracle_value(lam, nu, mu, n_cap) -> int:
+    """The oracle's stable coefficient; exit 4 when n_cap is too low."""
+    try:
+        return oracle.stable_kronecker_oracle(lam, nu, mu, n_cap=n_cap).value
+    except oracle.BudgetExceeded as exc:
+        click.echo(f"error: {exc}", err=True)
+        sys.exit(4)
 
 
 def _emit(record: dict, fmt: str, text_lines):
@@ -83,7 +93,7 @@ def cmd_coeff(lam, nu, mu, emit, fallback_oracle, n_cap, verbose):
                        "depth; pass --fallback-oracle to use the character "
                        "oracle", err=True)
             sys.exit(3)
-        value = oracle.stable_kronecker_oracle(lam, nu, mu, n_cap=n_cap).value
+        value = _oracle_value(lam, nu, mu, n_cap)
         source = "oracle"
     record.update({"value": str(value), "source": source})
     lines = [str(value)]
@@ -240,43 +250,39 @@ def _verify_records(max_size, max_s, thm33_r, n_cap):
                         ok = False
         records.append({"check": "thm33", "r": r, "cases": count, "ok": ok})
 
-    # Oracle equivalence and the decomposition identity
+    # Oracle equivalence (for |mu| <= max_size) and the decomposition
+    # identity, from one class count per (lambda, nu, s)
     parts = partitions.partitions_up_to(max_size)
     for lam in parts:
         for nu in parts:
-            for mu in parts:
-                s = partitions.size(mu)
-                if s > max_s:
+            a, b = partitions.skew_diff_sizes(lam, nu)
+            for s in range(max_s + 1):
+                copieri = partitions.is_copieri(lam, nu, s)
+                equivalence = (
+                    s <= max_size
+                    and (copieri or partitions.is_maximal_depth(lam, nu, s))
+                    and max(a, b) <= s <= (partitions.size(lam)
+                                           + partitions.size(nu)))
+                decomposition = copieri and s >= 1
+                if not (equivalence or decomposition):
                     continue
-                applicable = (partitions.is_copieri(lam, nu, s)
-                              or partitions.is_maximal_depth(lam, nu, s))
-                if not applicable:
-                    continue
-                a, b = partitions.skew_diff_sizes(lam, nu)
-                if not max(a, b) <= s <= (partitions.size(lam)
-                                          + partitions.size(nu)):
-                    continue
-                got = tableaux.count_latticed(lam, nu, mu)
-                want = oracle.stable_kronecker_oracle(lam, nu, mu,
-                                                      n_cap=n_cap).value
-                records.append({
-                    "check": "oracle_equivalence",
-                    "lambda": list(lam), "nu": list(nu), "mu": list(mu),
-                    "got": got, "want": want, "ok": got == want})
-    for lam in parts:
-        for nu in parts:
-            for s in range(1, max_s + 1):
-                if not partitions.is_copieri(lam, nu, s):
-                    continue
-                for mu in partitions.partitions_of(s):
-                    lhs = tableaux.count_sstd(lam, nu, mu)
-                    rhs = sum(tableaux.ssyt_count(tau, mu)
-                              * tableaux.count_latticed(lam, nu, tau)
-                              for tau in partitions.partitions_of(s))
-                    records.append({
-                        "check": "decomposition",
-                        "lambda": list(lam), "nu": list(nu), "mu": list(mu),
-                        "got": lhs, "want": rhs, "ok": lhs == rhs})
+                counts = tableaux.class_counts(lam, nu, s)
+                for mu, (sstd, latt) in counts.items():
+                    if equivalence:
+                        want = _oracle_value(lam, nu, mu, n_cap)
+                        records.append({
+                            "check": "oracle_equivalence",
+                            "lambda": list(lam), "nu": list(nu),
+                            "mu": list(mu),
+                            "got": latt, "want": want, "ok": latt == want})
+                    if decomposition:
+                        rhs = sum(tableaux.ssyt_count(tau, mu) * counts[tau][1]
+                                  for tau in counts)
+                        records.append({
+                            "check": "decomposition",
+                            "lambda": list(lam), "nu": list(nu),
+                            "mu": list(mu),
+                            "got": sstd, "want": rhs, "ok": sstd == rhs})
     return records
 
 

@@ -10,6 +10,7 @@ identity checked here holds for all n simultaneously.
 
 from __future__ import annotations
 
+from functools import lru_cache
 from itertools import permutations, product as iproduct
 
 from .branching import Tableau, error_path, is_dvir, remove_box, swap_adjacent
@@ -363,18 +364,36 @@ def branching_coeff(t: Tableau, k: int, direction: str, half: str,
     raise ValueError(f"unknown branching coefficient {direction}/{half}")
 
 
+MURPHY_CACHE_SIZE = 4096
+
+
 def murphy_u(t: Tableau, r=None) -> Element:
     """The ascending Murphy element of a path from the empty partition:
-    the product of up coefficients, top level first."""
+    the product of up coefficients, top level first.
+
+    It is built bottom up, P_k = (up_second_k * up_first_k) * P_(k-1),
+    which by associativity equals the top-down product.  P_k depends
+    only on the first k+1 steps, so paths share their partial products
+    through one LRU cache bounded at MURPHY_CACHE_SIZE (step prefix,
+    rank) entries; each call returns a fresh copy of the cached element."""
     if t.start != ():
         raise ValueError("Murphy elements require paths from the empty partition")
     if r is None:
         r = len(t.steps)
-    out = Element.one(r)
-    for k in range(len(t.steps) - 1, -1, -1):
-        out = (out * branching_coeff(t, k, "up", "second", r)
-               * branching_coeff(t, k, "up", "first", r))
-    return out
+    return Element(r, _murphy_prefix(t.steps, r).terms)
+
+
+@lru_cache(maxsize=MURPHY_CACHE_SIZE)
+def _murphy_prefix(steps, r: int) -> Element:
+    """The product of the up coefficients of a path from the empty
+    partition taking `steps`, bottom level last."""
+    if not steps:
+        return Element.one(r)
+    t = Tableau((), steps)
+    k = len(steps) - 1
+    level = (branching_coeff(t, k, "up", "second", r)
+             * branching_coeff(t, k, "up", "first", r))
+    return level * _murphy_prefix(steps[:-1], r)
 
 
 def murphy_d(t: Tableau, r=None) -> Element:

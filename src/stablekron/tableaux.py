@@ -19,7 +19,8 @@ from itertools import combinations
 
 from .partitions import (
     composition, contains, intersect, is_copieri, is_horizontal,
-    is_maximal_depth, part, partial_sum, partition, size, skew_diff_sizes,
+    is_maximal_depth, part, partial_sum, partition, partitions_of, size,
+    skew_diff_sizes,
 )
 from .branching import Tableau, enumerate_std0, step_key, swap_adjacent
 
@@ -72,8 +73,13 @@ def mu_classes(lam, nu, mu) -> list[SemistandardClass]:
     """Partition the non-radical standard tableaux into classes connected
     by swaps at positions interior to the frames of mu."""
     mu = composition(mu)
+    return _form_classes(enumerate_std0(lam, nu, size(mu)), mu)
+
+
+def _form_classes(std0, mu) -> list[SemistandardClass]:
+    """The weight-mu classes of the path list std0 (all of one length),
+    in order of their first member."""
     s = size(mu)
-    std0 = enumerate_std0(lam, nu, s)
     index = {t: i for i, t in enumerate(std0)}
     boundaries = {partial_sum(mu, c) for c in range(1, len(mu))}
     allowed = [k for k in range(1, s) if k not in boundaries]
@@ -144,12 +150,25 @@ def count_sstd(lam, nu, mu) -> int:
 
 def count_latticed(lam, nu, mu) -> int:
     """Number of semistandard classes whose frame row is a lattice word."""
-    mu = partition(mu)
-    total = 0
-    for c in mu_classes(lam, nu, mu):
-        if is_semistandard(c) and is_lattice(reading_word(c)[1]):
-            total += 1
-    return total
+    return _tally(mu_classes(lam, nu, partition(mu)))[1]
+
+
+def class_counts(lam, nu, s: int) -> dict:
+    """{mu: (count_sstd(lam, nu, mu), count_latticed(lam, nu, mu))} for
+    every partition mu of s, from one enumeration of the non-radical
+    paths of (lam, nu, s) shared by all the weights."""
+    std0 = enumerate_std0(lam, nu, s)
+    return {mu: _tally(_form_classes(std0, mu)) for mu in partitions_of(s)}
+
+
+def _tally(classes) -> tuple[int, int]:
+    """(semistandard classes, of which latticed) among classes."""
+    sstd = latt = 0
+    for c in classes:
+        if is_semistandard(c):
+            sstd += 1
+            latt += is_lattice(reading_word(c)[1])
+    return sstd, latt
 
 
 def stable_kronecker(lam, nu, mu) -> int:

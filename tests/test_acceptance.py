@@ -105,7 +105,7 @@ def test_criterion_4_maximal_depth_coincidence():
 
 
 def test_criterion_5_swap_identity():
-    for r in (2, 3):
+    for r in (2, 3, 4, 5):
         checked = 0
         for nu in partitions_up_to(r):
             for t in enumerate_std((), nu, r):

@@ -44,6 +44,12 @@ class TestCoeff:
         assert record["source"] == "oracle"
         assert record["value"] == "5"
 
+    def test_spent_oracle_budget_exit_4(self):
+        result = run("coeff", "3", "2,1", "2,1", "--fallback-oracle",
+                     "--n-cap", "5")
+        assert result.exit_code == 4
+        assert result.output.startswith("error: no stabilization")
+
     def test_verbose_text(self):
         out = run_ok("coeff", "6,1", "4,3", "2,1", "--verbose").output
         assert "value: 4" in out
@@ -117,6 +123,12 @@ class TestVerify:
         record = json.loads(result.output)
         assert record["failures"] == []
         assert record["checks"] > 0
+
+    def test_spent_oracle_budget_exit_4(self):
+        result = run("verify", "--max-size", "2", "--max-s", "2",
+                     "--n-cap", "3")
+        assert result.exit_code == 4
+        assert result.output.startswith("error: no stabilization")
 
     def test_vacuous_bounds_pass(self):
         assert run("verify", "--max-size", "0", "--max-s", "0").exit_code == 0

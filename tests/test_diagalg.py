@@ -7,7 +7,8 @@ import pytest
 
 from stablekron.branching import Tableau, enumerate_std, error_path, is_dvir, swap_adjacent
 from stablekron.diagalg import (
-    Diagram, Element, NotDvir, RankMismatch, dvir_diagram_check, e_int,
+    Diagram, Element, NotDvir, RankMismatch, branching_coeff,
+    dvir_diagram_check, e_int,
     gen_p, gen_p_half, gen_s, maximal_path, multiply, murphy_d, murphy_u,
     poly, poly_add, poly_eval, poly_mul, poly_shift, poly_str, s_range,
     verify_thm33, x_element, POLY_ONE, POLY_ZERO,
@@ -140,10 +141,40 @@ def special_path(nu, r):
     return Tableau((), steps)
 
 
+def _reference_murphy_u(t, r):
+    """The ascending Murphy element as the uncached top-down product of
+    the up coefficients."""
+    out = Element.one(r)
+    for k in range(len(t.steps) - 1, -1, -1):
+        out = (out * branching_coeff(t, k, "up", "second", r)
+               * branching_coeff(t, k, "up", "first", r))
+    return out
+
+
 class TestMurphyElements:
     def test_requires_empty_start(self):
         with pytest.raises(ValueError):
             murphy_u(Tableau((1,), [(0, 1)]), 2)
+
+    def test_matches_top_down_product(self):
+        for r in range(1, 5):
+            for nu in partitions_up_to(r):
+                for t in enumerate_std((), nu, r):
+                    want = _reference_murphy_u(t, r)
+                    assert murphy_u(t, r).terms == want.terms, t
+
+    def test_cached_element_survives_arithmetic(self):
+        r = 4
+        paths = enumerate_std((), (2, 1), r)
+        t, other = paths[0], paths[-1]
+        want = _reference_murphy_u(t, r)
+        u, v = murphy_u(t, r), murphy_u(other, r)
+        s = Element.from_diagram(gen_s(1, r))
+        # the arithmetic the sweeps do, then an in-place edit of the copy
+        u * s, s * u, u + v, u - v, -u, 3 * u, u.star()
+        u.terms.clear()
+        assert murphy_u(t, r) == want
+        assert murphy_u(other, r) == _reference_murphy_u(other, r)
 
     def test_absorption_identity(self):
         # d of the special path absorbs into u of any path to the same

@@ -13,8 +13,8 @@ from stablekron.partitions import (
     partitions_up_to, size,
 )
 from stablekron.tableaux import (
-    NotApplicable, SemistandardClass, ShapeMismatch, classical_lr,
-    count_latticed, count_sstd, good_mask, is_lattice, is_semistandard,
+    NotApplicable, SemistandardClass, ShapeMismatch, class_counts,
+    classical_lr, count_latticed, count_sstd, good_mask, is_lattice, is_semistandard,
     james_terminals, james_tree, mu_classes, r_map, r_map_inverse,
     reading_word, ssyt_count, stable_kronecker, _skew_ssyt,
 )
@@ -129,6 +129,20 @@ class TestCounts:
                         continue
                     assert count_latticed(lam, nu, (s,)) \
                         == count_sstd(lam, nu, (s,))
+
+    def test_class_counts_match_per_weight_counts(self):
+        pool = partitions_up_to(4)
+        for lam in pool:
+            for nu in pool:
+                for s in range(0, 5):
+                    if not (is_copieri(lam, nu, s)
+                            or is_maximal_depth(lam, nu, s)):
+                        continue
+                    counts = class_counts(lam, nu, s)
+                    assert list(counts) == partitions_of(s)
+                    for mu in partitions_of(s):
+                        assert counts[mu] == (count_sstd(lam, nu, mu),
+                                              count_latticed(lam, nu, mu))
 
     def test_one_row_shapes_kill_deep_weights(self):
         for a in range(1, 6):

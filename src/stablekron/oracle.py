@@ -1,8 +1,12 @@
 """Character-theoretic ground truth for Kronecker coefficients.
 
 Irreducible symmetric-group characters are evaluated by the
-Murnaghan-Nakayama border-strip recursion (via first-column hook
-lengths), Kronecker coefficients by the class-weighted triple product,
+Murnaghan-Nakayama border-strip recursion on beta-sets stored as bit
+masks (the abacus): removing a border strip of length r moves one bead
+from bit b to an empty bit b - r, with the sign given by the parity of
+the beads in between (counted with int.bit_count, so Python >= 3.10).
+Beads of empty rows are dropped, so each partition has one mask.
+Kronecker coefficients are evaluated by the class-weighted triple product,
 and the stable coefficient by one evaluation at a stabilization bound.
 By Briand-Orellana-Rosas (2011), g(lam[n], nu[n], mu[n]) is constant
 for n >= |beta| + |gamma| + alpha_1, for any assignment of lam, nu, mu
@@ -64,42 +68,52 @@ def clear_character_memo():
     _char_memo.clear()
 
 
+def _beads(lam) -> int:
+    """The beta-set of lam as a bit mask: bit lam_i + len(lam) - i for
+    each row i (1-indexed).  No row is empty, so bit 0 is clear."""
+    length = len(lam)
+    mask = 0
+    for i, x in enumerate(lam):
+        mask |= 1 << (x + length - 1 - i)
+    return mask
+
+
 def mn_character(lam, rho) -> int:
     """The irreducible character value at cycle type rho, by repeatedly
     stripping a border strip of the largest remaining cycle length."""
     lam = partition(lam)
-    rho = tuple(sorted((int(x) for x in rho if int(x) != 0), reverse=True))
-    if size(lam) != sum(rho):
+    rho = partition(sorted((int(x) for x in rho), reverse=True))
+    if size(lam) != size(rho):
         raise SizeMismatch(f"|{lam}| != |{rho}|")
-    return _mn(lam, rho)
+    return _mn(_beads(lam), rho)
 
 
-def _mn(lam, rho) -> int:
+def _mn(mask, rho) -> int:
+    """The character at rho of the partition with bead mask `mask`.  A
+    border strip of length r moves one bead from bit b down to an empty
+    bit b - r; its sign is the parity of the beads strictly between."""
     if not rho:
         return 1
-    key = (lam, rho)
+    key = (mask, rho)
     cached = _char_memo.get(key)
     if cached is not None:
         return cached
-    strip = rho[0]
+    r = rho[0]
     rest = rho[1:]
-    length = len(lam)
-    beta = [lam[i] + (length - 1 - i) for i in range(length)]
-    beta_set = set(beta)
+    movable = mask & ~(mask << r) & ~((1 << r) - 1)
     total = 0
-    for pos, b in enumerate(beta):
-        new = b - strip
-        if new < 0 or new in beta_set:
-            continue
-        sign = -1 if sum(1 for x in beta if new < x < b) % 2 else 1
-        new_beta = sorted((x for x in beta if x != b), reverse=True)
-        new_beta.append(new)
-        new_beta.sort(reverse=True)
-        new_lam = tuple(x - (len(new_beta) - 1 - i)
-                        for i, x in enumerate(new_beta))
-        while new_lam and new_lam[-1] == 0:
-            new_lam = new_lam[:-1]
-        total += sign * _mn(new_lam, rest)
+    while movable:
+        low = movable & -movable
+        movable ^= low
+        below = low >> r
+        new = mask ^ low ^ below
+        # drop the beads of empty rows, so each partition has one key
+        new >>= (new ^ (new + 1)).bit_length() - 1
+        term = _mn(new, rest)
+        if (mask & (low - below)).bit_count() & 1:
+            total -= term
+        else:
+            total += term
     _char_memo[key] = total
     return total
 
@@ -115,23 +129,31 @@ def kronecker(lam, nu, mu) -> int:
     n = size(lam)
     if size(nu) != n or size(mu) != n:
         raise SizeMismatch(f"sizes of {lam}, {nu}, {mu} differ")
+    return _kronecker(lam, nu, mu)
+
+
+def _kronecker(lam, nu, mu) -> int:
+    """`kronecker` on partition tuples already known to share a size."""
     key = tuple(sorted((lam, nu, mu)))
     cached = _kron_memo.get(key)
     if cached is not None:
         return cached
+    n = size(lam)
+    a_mask, b_mask, c_mask = _beads(lam), _beads(nu), _beads(mu)
+    n_fact = factorial(n)
     total = 0
     for rho in partitions_of(n):
-        a = _mn(lam, rho)
+        a = _mn(a_mask, rho)
         if a == 0:
             continue
-        b = _mn(nu, rho)
+        b = _mn(b_mask, rho)
         if b == 0:
             continue
-        c = _mn(mu, rho)
+        c = _mn(c_mask, rho)
         if c == 0:
             continue
-        total += class_size(rho, n) * a * b * c
-    value, rem = divmod(total, factorial(n))
+        total += n_fact // z_order(rho) * a * b * c
+    value, rem = divmod(total, n_fact)
     if rem:
         raise NonIntegral(f"non-integral Kronecker sum for {lam}, {nu}, {mu}")
     _kron_memo[key] = value
@@ -238,10 +260,10 @@ def dvir_step(lam_n, nu_n, mu_n) -> int:
             for sig, c2 in nu_terms.items():
                 if c2 == 0:
                     continue
-                g = kronecker(tau, sig, mu)
+                g = _kronecker(tau, sig, mu)
                 if g:
                     total += c1 * c2 * g
     for beta in p_set(n, mu):
         if beta != mu_n:
-            total -= kronecker(lam_n, nu_n, beta)
+            total -= _kronecker(lam_n, nu_n, beta)
     return total

@@ -1,6 +1,7 @@
 """Tests for the character-theoretic oracle."""
 
 import random
+from functools import lru_cache
 from math import factorial
 
 import pytest
@@ -47,6 +48,34 @@ def _scan_oracle(lam, nu, mu, n_cap=None) -> StableResult:
     raise BudgetExceeded(f"no stabilization with n up to {cap}")
 
 
+@lru_cache(maxsize=None)
+def _reference_mn(lam, rho) -> int:
+    """Reference character by the tuple recursion on first-column hook
+    lengths (beta-lists), for partition tuples lam and rho."""
+    if not rho:
+        return 1
+    strip = rho[0]
+    rest = rho[1:]
+    length = len(lam)
+    beta = [lam[i] + (length - 1 - i) for i in range(length)]
+    beta_set = set(beta)
+    total = 0
+    for b in beta:
+        new = b - strip
+        if new < 0 or new in beta_set:
+            continue
+        sign = -1 if sum(1 for x in beta if new < x < b) % 2 else 1
+        new_beta = sorted((x for x in beta if x != b), reverse=True)
+        new_beta.append(new)
+        new_beta.sort(reverse=True)
+        new_lam = tuple(x - (len(new_beta) - 1 - i)
+                        for i, x in enumerate(new_beta))
+        while new_lam and new_lam[-1] == 0:
+            new_lam = new_lam[:-1]
+        total += sign * _reference_mn(new_lam, rest)
+    return total
+
+
 class TestClassData:
     def test_z_order(self):
         assert z_order((1, 1, 1)) == 6
@@ -88,6 +117,36 @@ class TestCharacters:
     def test_size_mismatch(self):
         with pytest.raises(SizeMismatch):
             mn_character((2, 1), (2, 2))
+
+    def test_rejects_negative_cycle_lengths(self):
+        with pytest.raises(NotAPartition):
+            mn_character((2,), (3, -1))
+        # zeros are still dropped
+        assert mn_character((3, 1), (0, 1, 0, 2, 1)) \
+            == mn_character((3, 1), (2, 1, 1)) == 1
+
+    def test_matches_reference_recursion(self, monkeypatch):
+        monkeypatch.setattr(oracle, "_char_memo", {})
+        for n in range(0, 11):
+            for lam in partitions_of(n):
+                for rho in partitions_of(n):
+                    assert mn_character(lam, rho) \
+                        == _reference_mn(lam, rho), (lam, rho)
+
+    def test_beads(self):
+        assert oracle._beads(()) == 0
+        assert oracle._beads((3, 2)) == 0b10100
+        assert oracle._beads((1, 1, 1)) == 0b1110
+
+    def test_memo_keys_have_no_empty_rows(self, monkeypatch):
+        # strips that empty whole rows of the padded shapes must not
+        # leave beads at the bottom of the abacus: one key per partition
+        monkeypatch.setattr(oracle, "_char_memo", {})
+        monkeypatch.setattr(oracle, "_kron_memo", {})
+        kronecker(pad((3, 2), 9), pad((3, 2), 9), pad((2, 1), 9))
+        masks = {mask for mask, _ in oracle._char_memo}
+        assert masks
+        assert all(mask == 0 or not mask & 1 for mask in masks)
 
     def test_row_orthogonality(self):
         for n in range(1, 9):

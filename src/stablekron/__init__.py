@@ -2,21 +2,20 @@
 character-theoretic and partition-algebra verification."""
 
 from .partitions import (
-    NotAPartition, Undefined, composition, dominates, intersect,
-    is_copieri, is_horizontal, is_maximal_depth, minmax, pad,
-    parse_partition, partial_sum, partition, partitions_of,
-    skew_diff_sizes,
+    NotAPartition, Undefined, composition, intersect, is_copieri,
+    is_horizontal, is_maximal_depth, minmax, pad, parse_partition,
+    partial_sum, partition, partitions_of, skew_diff_sizes,
 )
 from .branching import (
     NotAPath, Tableau, dvir_removal_witness, enumerate_std,
-    enumerate_std0, error_path, is_dvir, step_key, step_str, successors,
+    enumerate_std0, error_path, is_dvir, step_key, step_str,
     swap_adjacent,
 )
+from .lr import ShapeMismatch, classical_lr, ssyt_count
 from .tableaux import (
-    NotApplicable, SemistandardClass, ShapeMismatch, classical_lr,
-    count_latticed, count_sstd, is_lattice, is_semistandard, james_tree,
-    james_terminals, mu_classes, r_map, r_map_inverse, reading_word,
-    ssyt_count, stable_kronecker,
+    NotApplicable, SemistandardClass, count_latticed, count_sstd,
+    is_lattice, is_semistandard, mu_classes, reading_word,
+    stable_kronecker,
 )
 from .oracle import (
     BudgetExceeded, StableResult, dvir_step, kronecker, mn_character,

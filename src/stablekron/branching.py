@@ -9,22 +9,13 @@ intermediate shapes are partitions.
 
 from __future__ import annotations
 
-from .partitions import NotAPartition, part, partition, size, intersect
+from .partitions import intersect, part, partition, size
 
 Step = tuple[int, int]
 
 
 class NotAPath(ValueError):
     """Raised when a step sequence leaves the set of partitions."""
-
-
-def step_kind(step: Step) -> str:
-    i, j = step
-    if i > j:
-        return "up"
-    if i == j:
-        return "dummy"
-    return "down"
 
 
 def step_key(step: Step):
@@ -42,14 +33,6 @@ def step_key(step: Step):
 
 def step_str(step: Step) -> str:
     return f"-{step[0]}+{step[1]}"
-
-
-def parse_step(text: str) -> Step:
-    t = text.strip()
-    if not t.startswith("-") or "+" not in t:
-        raise ValueError(f"cannot parse step from {text!r}")
-    i_txt, j_txt = t[1:].split("+", 1)
-    return (int(i_txt), int(j_txt))
 
 
 def remove_box(shape, i: int):
@@ -78,27 +61,6 @@ def add_box(shape, j: int):
     if j >= 2 and new[j - 1] > new[j - 2]:
         return None
     return tuple(new)
-
-
-def successors(shape, level_parity: str):
-    """Neighbours one half-step down the graph: the shape itself plus all
-    single-box removals (from an integral level) or additions (from a
-    half level)."""
-    shape = partition(shape)
-    out = [shape]
-    if level_parity == "integral":
-        for i in range(1, len(shape) + 1):
-            nxt = remove_box(shape, i)
-            if nxt is not None:
-                out.append(nxt)
-    elif level_parity == "half":
-        for j in range(1, len(shape) + 2):
-            nxt = add_box(shape, j)
-            if nxt is not None:
-                out.append(nxt)
-    else:
-        raise ValueError("level_parity must be 'integral' or 'half'")
-    return out
 
 
 class Tableau:
@@ -142,11 +104,6 @@ class Tableau:
 
     def __len__(self):
         return len(self.steps)
-
-    def half_shapes(self):
-        """The shapes at half levels t(1/2), t(3/2), ..."""
-        return tuple(remove_box(self.shapes[k], self.steps[k][0])
-                     for k in range(len(self.steps)))
 
     def serialize(self) -> str:
         return " ".join(step_str(st) for st in self.steps)

@@ -11,10 +11,11 @@ from __future__ import annotations
 
 import json
 import sys
+from contextlib import contextmanager
 
 import click
 
-from . import branching, diagalg, oracle, partitions, tableaux
+from . import branching, lr, oracle, partitions, tableaux, verify
 from .partitions import NotAPartition
 
 
@@ -26,13 +27,22 @@ def _parse(text: str):
         sys.exit(2)
 
 
-def _oracle_value(lam, nu, mu, n_cap) -> int:
-    """The oracle's stable coefficient; exit 4 when n_cap is too low."""
+@contextmanager
+def _oracle_budget():
+    """Exit 4 with the error when the oracle needs an n above --n-cap."""
     try:
-        return oracle.stable_kronecker_oracle(lam, nu, mu, n_cap=n_cap).value
+        yield
     except oracle.BudgetExceeded as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(4)
+
+
+def _triple_record(lam, nu, mu) -> dict:
+    """The triple and the counting regimes that cover it."""
+    s = partitions.size(mu)
+    return {"lambda": list(lam), "nu": list(nu), "mu": list(mu),
+            "copieri": partitions.is_copieri(lam, nu, s),
+            "maximal_depth": partitions.is_maximal_depth(lam, nu, s)}
 
 
 def _emit(record: dict, fmt: str, text_lines):
@@ -78,12 +88,7 @@ def main():
 def cmd_coeff(lam, nu, mu, emit, fallback_oracle, n_cap, verbose):
     """Compute the stable Kronecker coefficient of LAM, NU, MU."""
     lam, nu, mu = _parse(lam), _parse(nu), _parse(mu)
-    s = partitions.size(mu)
-    record = {
-        "lambda": list(lam), "nu": list(nu), "mu": list(mu),
-        "copieri": partitions.is_copieri(lam, nu, s),
-        "maximal_depth": partitions.is_maximal_depth(lam, nu, s),
-    }
+    record = _triple_record(lam, nu, mu)
     try:
         value = tableaux.stable_kronecker(lam, nu, mu)
         source = "tableaux"
@@ -93,7 +98,9 @@ def cmd_coeff(lam, nu, mu, emit, fallback_oracle, n_cap, verbose):
                        "depth; pass --fallback-oracle to use the character "
                        "oracle", err=True)
             sys.exit(3)
-        value = _oracle_value(lam, nu, mu, n_cap)
+        with _oracle_budget():
+            value = oracle.stable_kronecker_oracle(lam, nu, mu,
+                                                   n_cap=n_cap).value
         source = "oracle"
     record.update({"value": str(value), "source": source})
     lines = [str(value)]
@@ -113,7 +120,6 @@ def cmd_coeff(lam, nu, mu, emit, fallback_oracle, n_cap, verbose):
 def cmd_tableaux(lam, nu, mu, emit, verbose):
     """List the weight-MU classes of standard tableaux from LAM to NU."""
     lam, nu, mu = _parse(lam), _parse(nu), _parse(mu)
-    s = partitions.size(mu)
     classes = tableaux.mu_classes(lam, nu, mu)
     entries = []
     sstd = latt = 0
@@ -130,12 +136,8 @@ def cmd_tableaux(lam, nu, mu, emit, verbose):
             "lattice": bool(lattice),
             "size": len(cls),
         })
-    record = {
-        "lambda": list(lam), "nu": list(nu), "mu": list(mu),
-        "copieri": partitions.is_copieri(lam, nu, s),
-        "maximal_depth": partitions.is_maximal_depth(lam, nu, s),
-        "sstd": str(sstd), "latt": str(latt), "classes": entries,
-    }
+    record = _triple_record(lam, nu, mu)
+    record.update({"sstd": str(sstd), "latt": str(latt), "classes": entries})
     lines = [f"classes: {len(classes)}  semistandard: {sstd}  lattice: {latt}"]
     for cls, entry in zip(classes, entries):
         lines.append(" ".join(entry["word_steps"]) + " / "
@@ -160,14 +162,12 @@ def cmd_classify(lam, nu, mu, emit):
     lam, nu, mu = _parse(lam), _parse(nu), _parse(mu)
     s = partitions.size(mu)
     a, b = partitions.skew_diff_sizes(lam, nu)
-    record = {
-        "lambda": list(lam), "nu": list(nu), "mu": list(mu),
-        "copieri": partitions.is_copieri(lam, nu, s),
-        "maximal_depth": partitions.is_maximal_depth(lam, nu, s),
+    record = _triple_record(lam, nu, mu)
+    record.update({
         "bounds_ok": bool(max(a, b) <= s <= partitions.size(lam)
                           + partitions.size(nu)),
         "skew_sizes": [a, b],
-    }
+    })
     lines = [f"copieri: {record['copieri']}",
              f"maximal_depth: {record['maximal_depth']}",
              f"bounds_ok: {record['bounds_ok']}",
@@ -207,83 +207,12 @@ def cmd_lr(lam, nu, mu, emit):
     """Littlewood-Richardson coefficient for NU/LAM of weight MU."""
     lam, nu, mu = _parse(lam), _parse(nu), _parse(mu)
     try:
-        value = tableaux.classical_lr(lam, nu, mu)
-    except tableaux.ShapeMismatch as exc:
+        value = lr.classical_lr(lam, nu, mu)
+    except lr.ShapeMismatch as exc:
         click.echo(f"error: {exc}", err=True)
         sys.exit(2)
     _emit({"lambda": list(lam), "nu": list(nu), "mu": list(mu),
            "value": str(value)}, emit, [str(value)])
-
-
-def _verify_records(max_size, max_s, thm33_r, n_cap):
-    """Run the verification sweeps; yield one record per failure-checkable
-    unit, each with ok: bool."""
-    records = []
-
-    # Bell counts
-    def bell(m):
-        row = [1]
-        for _ in range(m):
-            new = [row[-1]]
-            for x in row:
-                new.append(new[-1] + x)
-            row = new
-        return row[0]
-
-    for r in range(1, min(3, max_s if max_s else 3) + 1):
-        total = sum(len(branching.enumerate_std((), nu, r)) ** 2
-                    for nu in partitions.partitions_up_to(r))
-        records.append({"check": "bell", "r": r, "got": total,
-                        "want": bell(2 * r), "ok": total == bell(2 * r)})
-
-    # swap identity, exhaustive up to thm33_r
-    for r in range(2, thm33_r + 1):
-        ok = True
-        count = 0
-        for nu in partitions.partitions_up_to(r):
-            for t in branching.enumerate_std((), nu, r):
-                for k in range(1, r):
-                    if branching.swap_adjacent(t, k) is None:
-                        continue
-                    count += 1
-                    if not diagalg.verify_thm33(t, k, r):
-                        ok = False
-        records.append({"check": "thm33", "r": r, "cases": count, "ok": ok})
-
-    # Oracle equivalence (for |mu| <= max_size) and the decomposition
-    # identity, from one class count per (lambda, nu, s)
-    parts = partitions.partitions_up_to(max_size)
-    for lam in parts:
-        for nu in parts:
-            a, b = partitions.skew_diff_sizes(lam, nu)
-            for s in range(max_s + 1):
-                copieri = partitions.is_copieri(lam, nu, s)
-                equivalence = (
-                    s <= max_size
-                    and (copieri or partitions.is_maximal_depth(lam, nu, s))
-                    and max(a, b) <= s <= (partitions.size(lam)
-                                           + partitions.size(nu)))
-                decomposition = copieri and s >= 1
-                if not (equivalence or decomposition):
-                    continue
-                counts = tableaux.class_counts(lam, nu, s)
-                for mu, (sstd, latt) in counts.items():
-                    if equivalence:
-                        want = _oracle_value(lam, nu, mu, n_cap)
-                        records.append({
-                            "check": "oracle_equivalence",
-                            "lambda": list(lam), "nu": list(nu),
-                            "mu": list(mu),
-                            "got": latt, "want": want, "ok": latt == want})
-                    if decomposition:
-                        rhs = sum(tableaux.ssyt_count(tau, mu) * counts[tau][1]
-                                  for tau in counts)
-                        records.append({
-                            "check": "decomposition",
-                            "lambda": list(lam), "nu": list(nu),
-                            "mu": list(mu),
-                            "got": sstd, "want": rhs, "ok": sstd == rhs})
-    return records
 
 
 @main.command("verify")
@@ -297,7 +226,10 @@ def _verify_records(max_size, max_s, thm33_r, n_cap):
 @click.option("--n-cap", type=int, default=None)
 def cmd_verify(emit, max_size, max_s, thm33_r, n_cap):
     """Run the verification sweeps; exit 1 on any failure."""
-    records = _verify_records(max_size, max_s, thm33_r, n_cap)
+    with _oracle_budget():
+        records = [*verify.bell_counts(min(3, max_s if max_s else 3)),
+                   *verify.swap_identity(thm33_r),
+                   *verify.counting_sweep(max_size, max_s, n_cap)]
     records.sort(key=lambda rec: json.dumps(rec, sort_keys=True))
     failures = [rec for rec in records if not rec["ok"]]
     if emit == "json":

@@ -11,7 +11,6 @@ identity checked here holds for all n simultaneously.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations, product as iproduct
 
 from .branching import Tableau, error_path, is_dvir, remove_box, swap_adjacent
 from .partitions import part, partial_sum, partition, size
@@ -65,10 +64,6 @@ def poly_mul(a, b):
 def poly_shift(a, t: int):
     """Multiply by n**t."""
     return (0,) * t + tuple(a) if a else POLY_ZERO
-
-
-def poly_eval(a, n: int) -> int:
-    return sum(c * n ** i for i, c in enumerate(a))
 
 
 def poly_str(a) -> str:
@@ -394,45 +389,6 @@ def _murphy_prefix(steps, r: int) -> Element:
     level = (branching_coeff(t, k, "up", "second", r)
              * branching_coeff(t, k, "up", "first", r))
     return level * _murphy_prefix(steps[:-1], r)
-
-
-def murphy_d(t: Tableau, r=None) -> Element:
-    """The descending Murphy element: down coefficients, bottom level first."""
-    if t.start != ():
-        raise ValueError("Murphy elements require paths from the empty partition")
-    if r is None:
-        r = len(t.steps)
-    out = Element.one(r)
-    for k in range(len(t.steps)):
-        out = (out * branching_coeff(t, k, "down", "first", r)
-               * branching_coeff(t, k, "down", "second", r))
-    return out
-
-
-def young_sum(nu, r: int) -> Element:
-    """Sum of all permutation diagrams of the Young subgroup acting on
-    the consecutive strand blocks cut out by nu (identity beyond |nu|)."""
-    nu = partition(nu)
-    blocks = []
-    pos = 1
-    for row in nu:
-        blocks.append(list(range(pos, pos + row)))
-        pos += row
-    total = Element.zero(r)
-    for choice in iproduct(*[list(permutations(b)) for b in blocks]):
-        image = {j: j for j in range(1, r + 1)}
-        for block, images in zip(blocks, choice):
-            image.update(zip(block, images))
-        d = Diagram(r, [(j, r + image[j]) for j in range(1, r + 1)])
-        total = total + Element.from_diagram(d)
-    return total
-
-
-def x_element(nu, r: int) -> Element:
-    """The idempotent-times-symmetrizer appearing in the round-trip
-    identity for Murphy elements."""
-    nu = partition(nu)
-    return e_int(r, r - size(nu), r) * young_sum(nu, r)
 
 
 def verify_thm33(t: Tableau, k: int, r=None) -> bool:

@@ -24,7 +24,7 @@ from math import factorial
 from .partitions import (
     contains, pad, part, partition, partitions_of, size,
 )
-from .tableaux import classical_lr
+from .lr import _classical_lr
 
 
 class SizeMismatch(ValueError):
@@ -251,9 +251,10 @@ def dvir_step(lam_n, nu_n, mu_n) -> int:
     for alpha in partitions_of(n - s):
         if not contains(alpha, inter):
             continue
-        # expand both skews into straight shapes of size s
-        lam_terms = {tau: classical_lr(alpha, lam_n, tau) for tau in small}
-        nu_terms = {sig: classical_lr(alpha, nu_n, sig) for sig in small}
+        # expand both skews into straight shapes of size s; alpha lies in
+        # both shapes and |alpha| + s = n, so the LR checks always pass
+        lam_terms = {tau: _classical_lr(alpha, lam_n, tau) for tau in small}
+        nu_terms = {sig: _classical_lr(alpha, nu_n, sig) for sig in small}
         for tau, c1 in lam_terms.items():
             if c1 == 0:
                 continue

@@ -2,9 +2,7 @@
 
 Partitions are plain tuples of weakly decreasing positive integers;
 trailing zeros are stripped on construction and every indexing formula
-reads absent parts as 0.  The dominance order used here is size-graded:
-a strictly smaller partition dominates a strictly larger one, and equal
-sizes are compared by partial sums.
+reads absent parts as 0.
 """
 
 from __future__ import annotations
@@ -72,17 +70,6 @@ def partial_sum(lam, a: int) -> int:
     if a < 0:
         raise ValueError("index must be non-negative")
     return sum(lam[: min(a, len(lam))])
-
-
-def dominates(lam, mu) -> bool:
-    """Size-graded dominance: |lam| < |mu|, or equal sizes and all
-    partial sums of lam are >= those of mu."""
-    if size(lam) != size(mu):
-        return size(lam) < size(mu)
-    return all(
-        partial_sum(lam, a) >= partial_sum(mu, a)
-        for a in range(1, max(len(lam), len(mu)) + 1)
-    )
 
 
 def pad(lam, n: int) -> tuple[int, ...]:

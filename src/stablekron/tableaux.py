@@ -5,32 +5,24 @@ A weight composition mu cuts a path of s steps into frames (steps
 grouped into classes under swaps of adjacent steps inside a frame; a
 class is semistandard when the skews between consecutive frame-boundary
 shapes are horizontal, and counted when its reading word's frame row is
-a lattice permutation.  The same module hosts the classical
-Littlewood-Richardson and Kostka counts and the raising/lowering
-machinery on words that decomposes semistandard counts into lattice
-counts.
+a lattice permutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import combinations
 
 from .partitions import (
-    composition, contains, intersect, is_copieri, is_horizontal,
-    is_maximal_depth, part, partial_sum, partition, partitions_of, size,
-    skew_diff_sizes,
+    composition, intersect, is_copieri, is_horizontal, is_maximal_depth,
+    partial_sum, partition, partitions_of, size, skew_diff_sizes,
 )
 from .branching import Tableau, enumerate_std0, step_key, swap_adjacent
+# the benchmark's maximal-depth reference reads tableaux.classical_lr
+from .lr import classical_lr  # noqa: F401
 
 
 class NotApplicable(Exception):
     """The triple is neither co-Pieri nor of maximal depth."""
-
-
-class ShapeMismatch(ValueError):
-    """Incompatible shapes/sizes for a Littlewood-Richardson count."""
 
 
 @dataclass(frozen=True)
@@ -187,214 +179,3 @@ def stable_kronecker(lam, nu, mu) -> int:
         return 0
     return count_latticed(lam, nu, mu)
 
-
-def _skew_ssyt(outer, inner, weight):
-    """Yield all semistandard fillings of outer/inner with the given
-    weight: rows weakly increase, columns strictly increase.  Each
-    filling is a tuple of row tuples (skew cells only)."""
-    outer = partition(outer)
-    inner = partition(inner)
-    if not contains(inner, outer):
-        raise ShapeMismatch(f"{inner} not contained in {outer}")
-    cells = [(i, j) for i in range(len(outer))
-             for j in range(part(inner, i + 1), outer[i])]
-    remaining = list(weight)
-    if sum(remaining) != len(cells):
-        return
-    grid = {}
-
-    def rec(pos):
-        if pos == len(cells):
-            rows = []
-            for i in range(len(outer)):
-                rows.append(tuple(grid[(i, j)]
-                                  for j in range(part(inner, i + 1), outer[i])))
-            yield tuple(rows)
-            return
-        i, j = cells[pos]
-        left = grid.get((i, j - 1), 1)
-        above = grid.get((i - 1, j), 0)
-        for v in range(max(left, above + 1), len(remaining) + 1):
-            if remaining[v - 1] == 0:
-                continue
-            remaining[v - 1] -= 1
-            grid[(i, j)] = v
-            yield from rec(pos + 1)
-            del grid[(i, j)]
-            remaining[v - 1] += 1
-
-    yield from rec(0)
-
-
-def _reverse_reading_word(filling):
-    """Entries read right-to-left along successive rows, top to bottom."""
-    word = []
-    for row in filling:
-        word.extend(reversed(row))
-    return word
-
-
-def classical_lr(lam, nu, mu) -> int:
-    """Littlewood-Richardson coefficient: semistandard fillings of
-    nu/lam of weight mu whose reverse reading word is a lattice word."""
-    lam = partition(lam)
-    nu = partition(nu)
-    mu = partition(mu)
-    if not contains(lam, nu) or size(nu) != size(lam) + size(mu):
-        raise ShapeMismatch(f"need {lam} inside {nu} with size gap {size(mu)}")
-    return _classical_lr(lam, nu, mu)
-
-
-@lru_cache(maxsize=None)
-def _classical_lr(lam, nu, mu) -> int:
-    return sum(1 for f in _skew_ssyt(nu, lam, mu)
-               if is_lattice(_reverse_reading_word(f)))
-
-
-def ssyt_count(tau, mu) -> int:
-    """Kostka number: semistandard fillings of tau with weight mu."""
-    tau = partition(tau)
-    mu = composition(mu)
-    if size(tau) != size(mu):
-        return 0
-    return _ssyt_count(tau, mu)
-
-
-@lru_cache(maxsize=None)
-def _ssyt_count(tau, mu) -> int:
-    return sum(1 for _ in _skew_ssyt(tau, (), mu))
-
-
-# ---------------------------------------------------------------------------
-# Pairs of partitions, the raising tree, and the word-level moves.
-
-
-@dataclass
-class PairNode:
-    """A vertex of the raising tree: a pair (sharp, full) of equal-length
-    row sequences with sharp row-wise <= full, or the dead vertex (None)."""
-
-    sharp: tuple[int, ...] | None
-    full: tuple[int, ...] | None
-    op: tuple | None  # edge operator from the parent: ("a"|"r", row, count)
-    children: list
-
-    @property
-    def dead(self) -> bool:
-        return self.sharp is None
-
-    @property
-    def terminal(self) -> bool:
-        return not self.dead and self.sharp == self.full
-
-
-def _james_children(sharp, full):
-    """The branching row c (> 1, minimal with sharp_c < full_c) and the
-    two child labels, or None if the vertex is terminal."""
-    length = len(full)
-    c = next((i for i in range(2, length + 1)
-              if sharp[i - 1] < full[i - 1]), None)
-    if c is None:
-        return None
-    k = full[c - 1] - sharp[c - 1]
-    # lowering child: move the deficit from row c of full up to row c-1
-    lowered = list(full)
-    lowered[c - 2] += k
-    lowered[c - 1] -= k
-    low_sharp = list(sharp)
-    low_sharp[0] = lowered[0]
-    # raising child: one more required good c
-    raised = list(sharp)
-    raised[c - 1] += 1
-    ok = all(raised[i] >= raised[i + 1] for i in range(length - 1))
-    return (c, k,
-            (tuple(low_sharp), tuple(lowered)),
-            (tuple(raised), tuple(full)) if ok else None)
-
-
-def james_tree(mu) -> PairNode:
-    """The full raising tree of mu, rooted at ((mu_1), mu)."""
-    mu = partition(mu)
-    length = max(len(mu), 1)
-    full = tuple(part(mu, i) for i in range(1, length + 1))
-    sharp = (full[0],) + (0,) * (length - 1)
-
-    def build(sharp, full, op):
-        node = PairNode(sharp, full, op, [])
-        branch = _james_children(sharp, full)
-        if branch is None:
-            return node
-        c, k, low, high = branch
-        node.children.append(build(low[0], low[1], ("r", c, k)))
-        if high is None:
-            node.children.append(PairNode(None, None, ("a", c, 1), []))
-        else:
-            node.children.append(build(high[0], high[1], ("a", c, 1)))
-        return node
-
-    return build(sharp, full, None)
-
-
-def james_terminals(mu):
-    """Terminal vertices of the raising tree as (tau, ops) pairs, where
-    ops is the root-to-leaf sequence of edge operators."""
-    out = []
-
-    def walk(node, ops):
-        if node.dead:
-            return
-        if node.terminal:
-            out.append((partition(node.full), tuple(ops)))
-            return
-        for child in node.children:
-            walk(child, ops + [child.op])
-
-    walk(james_tree(mu), [])
-    return out
-
-
-def r_map(word, c: int):
-    """Change every bad c in the word into c - 1."""
-    if c < 2:
-        raise ValueError("c must be at least 2")
-    mask = good_mask(word)
-    return tuple(x - 1 if x == c and not g else x
-                 for x, g in zip(word, mask))
-
-
-def _good_counts(word):
-    counts: dict[int, int] = {}
-    for x, g in zip(word, good_mask(word)):
-        if g:
-            counts[x] = counts.get(x, 0) + 1
-    return counts
-
-
-def in_james_set(word, sharp) -> bool:
-    """True iff the word has at least sharp_i good i's for every i."""
-    counts = _good_counts(word)
-    return all(counts.get(i, 0) >= sharp[i - 1] for i in range(1, len(sharp) + 1))
-
-
-def r_map_inverse(word, c: int, sharp, k: int = 1):
-    """The unique preimage of `word` under r_map(., c) raising k entries
-    c-1 -> c, restricted to words with at least sharp_i good i's for all
-    i but no good c beyond sharp_c."""
-    if c < 2:
-        raise ValueError("c must be at least 2")
-    sharp_c = sharp[c - 1] if c <= len(sharp) else 0
-    positions = [i for i, x in enumerate(word) if x == c - 1]
-    found = []
-    for combo in combinations(positions, k):
-        cand = list(word)
-        for i in combo:
-            cand[i] = c
-        cand = tuple(cand)
-        if (in_james_set(cand, sharp)
-                and _good_counts(cand).get(c, 0) == sharp_c
-                and r_map(cand, c) == tuple(word)):
-            found.append(cand)
-    if len(found) != 1:
-        raise ValueError(f"expected a unique preimage of {word} raising "
-                         f"{k} entries to {c}, found {found}")
-    return found[0]

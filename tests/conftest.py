@@ -51,14 +51,3 @@ def brute_skew_syt_count(outer, inner) -> int:
 
     rec(0, frozenset())
     return count
-
-
-def bell_number(m: int) -> int:
-    """Bell numbers via the Bell triangle."""
-    row = [1]
-    for _ in range(m):
-        new = [row[-1]]
-        for x in row:
-            new.append(new[-1] + x)
-        row = new
-    return row[0]

@@ -3,6 +3,7 @@
 import json
 
 from click.testing import CliRunner
+from hypothesis import given, settings, strategies as st
 
 from stablekron.cli import main
 
@@ -90,6 +91,15 @@ class TestClassify:
         assert record["copieri"] == "True"
         assert record["maximal_depth"] == "False"
         assert record["skew_sizes"] == "[0, 3]"
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.lists(st.one_of(st.text(),
+                              st.text(alphabet="0123456789,[] -", max_size=12)),
+                    max_size=4))
+    def test_fuzzed_arguments_exit_0_or_2(self, args):
+        result = run("classify", *args)
+        assert result.exit_code in (0, 2), (args, result.output,
+                                            result.exception)
 
 
 class TestOracle:

@@ -1,7 +1,12 @@
-"""Tests for exact arithmetic in the diagram algebra."""
+"""Tests for exact arithmetic in the diagram algebra.
+
+The descending Murphy element, the symmetrizer and the evaluation of a
+coefficient at one n live here, beside the only identities that use them.
+"""
 
 import random
 from fractions import Fraction
+from itertools import permutations, product
 
 import pytest
 
@@ -9,11 +14,44 @@ from stablekron.branching import Tableau, enumerate_std, error_path, is_dvir, sw
 from stablekron.diagalg import (
     Diagram, Element, NotDvir, RankMismatch, branching_coeff,
     dvir_diagram_check, e_int,
-    gen_p, gen_p_half, gen_s, maximal_path, multiply, murphy_d, murphy_u,
-    poly, poly_add, poly_eval, poly_mul, poly_shift, poly_str, s_range,
-    verify_thm33, x_element, POLY_ONE, POLY_ZERO,
+    gen_p, gen_p_half, gen_s, maximal_path, multiply, murphy_u,
+    poly, poly_add, poly_mul, poly_shift, poly_str, s_range,
+    verify_thm33, POLY_ONE, POLY_ZERO,
 )
-from stablekron.partitions import partitions_up_to, size
+from stablekron.partitions import partition, partitions_up_to, size
+
+
+def poly_eval(a, n: int) -> int:
+    return sum(c * n ** i for i, c in enumerate(a))
+
+
+def murphy_d(t, r):
+    """The descending Murphy element: down coefficients, bottom level first."""
+    out = Element.one(r)
+    for k in range(len(t.steps)):
+        out = (out * branching_coeff(t, k, "down", "first", r)
+               * branching_coeff(t, k, "down", "second", r))
+    return out
+
+
+def x_element(nu, r: int) -> Element:
+    """The idempotent-times-symmetrizer appearing in the round-trip
+    identity for Murphy elements: e_int times the sum of the permutation
+    diagrams of the Young subgroup acting on the consecutive strand
+    blocks cut out by nu (identity beyond |nu|)."""
+    blocks = []
+    pos = 1
+    for row in partition(nu):
+        blocks.append(list(range(pos, pos + row)))
+        pos += row
+    young = Element.zero(r)
+    for choice in product(*[list(permutations(b)) for b in blocks]):
+        image = {j: j for j in range(1, r + 1)}
+        for block, images in zip(blocks, choice):
+            image.update(zip(block, images))
+        d = Diagram(r, [(j, r + image[j]) for j in range(1, r + 1)])
+        young = young + Element.from_diagram(d)
+    return e_int(r, r - size(nu), r) * young
 
 
 class TestPolynomials:

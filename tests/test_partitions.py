@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stablekron.partitions import (
-    NotAPartition, Undefined, contains, dominates, format_partition,
+    NotAPartition, Undefined, contains, format_partition,
     intersect, is_copieri, is_horizontal, is_maximal_depth, minmax, pad,
     parse_partition, part, partial_sum, partition, partitions_of,
     partitions_up_to, size, skew_diff_sizes,
@@ -58,28 +58,14 @@ class TestParsing:
     def test_format_roundtrip(self, lam):
         assert parse_partition(format_partition(lam)) == lam
 
-
-class TestDominance:
-    def test_size_graded(self):
-        assert dominates((2,), (1, 1, 1))
-        assert dominates((3,), (2, 1))
-        assert not dominates((2, 1), (3,))
-
-    def test_partial_order(self):
-        pool = partitions_up_to(6)
-        for a in pool:
-            assert dominates(a, a)
-        for a in pool:
-            for b in pool:
-                if a != b and dominates(a, b) and dominates(b, a):
-                    pytest.fail(f"antisymmetry fails on {a}, {b}")
-        for a in pool:
-            for b in pool:
-                if not dominates(a, b):
-                    continue
-                for c in pool:
-                    if dominates(b, c):
-                        assert dominates(a, c)
+    @given(st.one_of(st.text(), st.text(alphabet="0123456789,[] -_+")))
+    def test_any_text_parses_or_raises(self, text):
+        try:
+            lam = parse_partition(text)
+        except NotAPartition:
+            return
+        assert partition(lam) == lam
+        assert parse_partition(format_partition(lam)) == lam
 
 
 class TestPad:

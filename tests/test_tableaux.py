@@ -1,23 +1,156 @@
 """Tests for semistandard classes, reading words, the counting rules,
-the classical coefficients, and the raising-tree machinery on words."""
+the classical coefficients, and the raising-tree machinery on words.
 
-from itertools import product
+The raising tree proves the decomposition of semistandard counts into
+latticed ones; no computation uses it, so it lives here with its tests.
+"""
+
+from collections import Counter
+from dataclasses import dataclass
+from itertools import combinations, product
 
 import pytest
 
 from conftest import prefix_lattice
 
 from stablekron.branching import Tableau, step_str
+from stablekron.lr import (
+    ShapeMismatch, classical_lr, is_lattice_word, ssyt_count, _skew_ssyt,
+)
 from stablekron.partitions import (
-    contains, is_copieri, is_maximal_depth, partition, partitions_of,
-    partitions_up_to, size,
+    contains, is_copieri, is_maximal_depth, part, partition, partitions_of,
+    partitions_up_to,
 )
 from stablekron.tableaux import (
-    NotApplicable, SemistandardClass, ShapeMismatch, class_counts,
-    classical_lr, count_latticed, count_sstd, good_mask, is_lattice, is_semistandard,
-    james_terminals, james_tree, mu_classes, r_map, r_map_inverse,
-    reading_word, ssyt_count, stable_kronecker, _skew_ssyt,
+    NotApplicable, SemistandardClass, class_counts, count_latticed,
+    count_sstd, good_mask, is_lattice, is_semistandard, mu_classes,
+    reading_word, stable_kronecker,
 )
+
+
+@dataclass
+class PairNode:
+    """A vertex of the raising tree: a pair (sharp, full) of equal-length
+    row sequences with sharp row-wise <= full, or the dead vertex (None)."""
+
+    sharp: tuple[int, ...] | None
+    full: tuple[int, ...] | None
+    op: tuple | None  # edge operator from the parent: ("a"|"r", row, count)
+    children: list
+
+    @property
+    def dead(self) -> bool:
+        return self.sharp is None
+
+    @property
+    def terminal(self) -> bool:
+        return not self.dead and self.sharp == self.full
+
+
+def _james_children(sharp, full):
+    """The branching row c (> 1, minimal with sharp_c < full_c) and the
+    two child labels, or None if the vertex is terminal."""
+    length = len(full)
+    c = next((i for i in range(2, length + 1)
+              if sharp[i - 1] < full[i - 1]), None)
+    if c is None:
+        return None
+    k = full[c - 1] - sharp[c - 1]
+    # lowering child: move the deficit from row c of full up to row c-1
+    lowered = list(full)
+    lowered[c - 2] += k
+    lowered[c - 1] -= k
+    low_sharp = list(sharp)
+    low_sharp[0] = lowered[0]
+    # raising child: one more required good c
+    raised = list(sharp)
+    raised[c - 1] += 1
+    ok = all(raised[i] >= raised[i + 1] for i in range(length - 1))
+    return (c, k,
+            (tuple(low_sharp), tuple(lowered)),
+            (tuple(raised), tuple(full)) if ok else None)
+
+
+def james_tree(mu) -> PairNode:
+    """The full raising tree of mu, rooted at ((mu_1), mu)."""
+    mu = partition(mu)
+    length = max(len(mu), 1)
+    full = tuple(part(mu, i) for i in range(1, length + 1))
+    sharp = (full[0],) + (0,) * (length - 1)
+
+    def build(sharp, full, op):
+        node = PairNode(sharp, full, op, [])
+        branch = _james_children(sharp, full)
+        if branch is None:
+            return node
+        c, k, low, high = branch
+        node.children.append(build(low[0], low[1], ("r", c, k)))
+        if high is None:
+            node.children.append(PairNode(None, None, ("a", c, 1), []))
+        else:
+            node.children.append(build(high[0], high[1], ("a", c, 1)))
+        return node
+
+    return build(sharp, full, None)
+
+
+def james_terminals(mu):
+    """Terminal vertices of the raising tree as (tau, ops) pairs, where
+    ops is the root-to-leaf sequence of edge operators."""
+    out = []
+
+    def walk(node, ops):
+        if node.dead:
+            return
+        if node.terminal:
+            out.append((partition(node.full), tuple(ops)))
+            return
+        for child in node.children:
+            walk(child, ops + [child.op])
+
+    walk(james_tree(mu), [])
+    return out
+
+
+def r_map(word, c: int):
+    """Change every bad c (c >= 2) in the word into c - 1."""
+    mask = good_mask(word)
+    return tuple(x - 1 if x == c and not g else x
+                 for x, g in zip(word, mask))
+
+
+def _good_counts(word):
+    return Counter(x for x, g in zip(word, good_mask(word)) if g)
+
+
+def in_james_set(word, sharp) -> bool:
+    """True iff the word has at least sharp_i good i's for every i."""
+    counts = _good_counts(word)
+    return all(counts.get(i, 0) >= sharp[i - 1] for i in range(1, len(sharp) + 1))
+
+
+def r_map_inverse(word, c: int, sharp, k: int = 1):
+    """The unique preimage of `word` under r_map(., c) raising k entries
+    c-1 -> c, restricted to words with at least sharp_i good i's for all
+    i but no good c beyond sharp_c."""
+    sharp_c = sharp[c - 1] if c <= len(sharp) else 0
+    positions = [i for i, x in enumerate(word) if x == c - 1]
+    found = []
+    for combo in combinations(positions, k):
+        cand = list(word)
+        for i in combo:
+            cand[i] = c
+        cand = tuple(cand)
+        if (in_james_set(cand, sharp)
+                and _good_counts(cand).get(c, 0) == sharp_c
+                and r_map(cand, c) == tuple(word)):
+            found.append(cand)
+    if len(found) != 1:
+        raise ValueError(f"expected a unique preimage of {word} raising "
+                         f"{k} entries to {c}, found {found}")
+    return found[0]
+
+
 
 
 class TestClasses:
@@ -105,6 +238,12 @@ class TestLattice:
         for length in range(8):
             for word in product((1, 2, 3, 4), repeat=length):
                 assert is_lattice(word) == prefix_lattice(word)
+
+    def test_lr_lattice_test_agrees(self):
+        # the LR count's own lattice test against the rule's good/bad scan
+        for length in range(8):
+            for word in product((1, 2, 3, 4), repeat=length):
+                assert is_lattice_word(word) == is_lattice(word), word
 
 
 class TestCounts:
@@ -279,18 +418,3 @@ class TestRaisingTree:
         with pytest.raises(ValueError):
             r_map_inverse((2, 2), 2, (2,), 1)
 
-
-class TestDecomposition:
-    def test_small_sweep(self):
-        pool = partitions_up_to(4)
-        for lam in pool:
-            for nu in pool:
-                for s in range(1, 5):
-                    if not is_copieri(lam, nu, s):
-                        continue
-                    taus = partitions_of(s)
-                    latt = {tau: count_latticed(lam, nu, tau)
-                            for tau in taus}
-                    for mu in taus:
-                        assert count_sstd(lam, nu, mu) == sum(
-                            ssyt_count(tau, mu) * latt[tau] for tau in taus)

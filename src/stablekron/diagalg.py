@@ -107,11 +107,6 @@ class Diagram:
     def identity(cls, r: int) -> "Diagram":
         return cls(r, [(k, r + k) for k in range(1, r + 1)])
 
-    def star(self) -> "Diagram":
-        """Flip top and bottom rows."""
-        flip = lambda c: c + self.r if c <= self.r else c - self.r
-        return Diagram(self.r, [tuple(flip(c) for c in b) for b in self.blocks])
-
     def __eq__(self, other):
         return (isinstance(other, Diagram)
                 and self.r == other.r and self.blocks == other.blocks)
@@ -230,9 +225,6 @@ class Element:
         if isinstance(other, int):
             return self * other
         return NotImplemented
-
-    def star(self) -> "Element":
-        return Element(self.r, {d.star(): c for d, c in self.terms.items()})
 
     def __eq__(self, other):
         return (isinstance(other, Element)

@@ -64,10 +64,6 @@ def class_size(rho, n: int) -> int:
 _char_memo: dict[tuple, int] = {}
 
 
-def clear_character_memo():
-    _char_memo.clear()
-
-
 def _beads(lam) -> int:
     """The beta-set of lam as a bit mask: bit lam_i + len(lam) - i for
     each row i (1-indexed).  No row is empty, so bit 0 is clear."""

@@ -6,6 +6,13 @@ grouped into classes under swaps of adjacent steps inside a frame; a
 class is semistandard when the skews between consecutive frame-boundary
 shapes are horizontal, and counted when its reading word's frame row is
 a lattice permutation.
+
+Classes are formed frame by frame.  A swap inside a frame changes only
+that frame's steps and interior shapes, and a swap keeps the multiset
+of steps, which is all the radical filter looks at.  So over the full
+non-radical path list of one (lam, nu, s), a class is the product of
+the swap components of its frame segments, and each distinct segment
+is swapped through once per weight instead of every whole path.
 """
 
 from __future__ import annotations
@@ -69,31 +76,46 @@ def mu_classes(lam, nu, mu) -> list[SemistandardClass]:
 
 
 def _form_classes(std0, mu) -> list[SemistandardClass]:
-    """The weight-mu classes of the path list std0 (all of one length),
-    in order of their first member."""
-    s = size(mu)
-    index = {t: i for i, t in enumerate(std0)}
-    boundaries = {partial_sum(mu, c) for c in range(1, len(mu))}
-    allowed = [k for k in range(1, s) if k not in boundaries]
+    """The weight-mu classes of std0, members and classes in std0 order.
 
-    seen = set()
-    classes = []
+    std0 must be the full non-radical path list of one (lam, nu, s)
+    with s = |mu|, so that every valid swap of a path in std0 is again
+    in std0 and a class is a product of per-frame swap components.
+    Each frame segment (start shape, steps) is swap-BFS'd on its first
+    sighting, and every ordering it reaches gets one component id; a
+    path's class is the tuple of its frames' ids.
+    """
+    cuts = [partial_sum(mu, c) for c in range(len(mu) + 1)]
+    frames = list(zip(cuts, cuts[1:]))
+    component: dict[tuple, int] = {}
+    groups: dict[tuple, list] = {}
     for t in std0:
-        if t in seen:
-            continue
-        comp = {t}
-        queue = [t]
-        while queue:
-            cur = queue.pop()
-            for k in allowed:
-                other = swap_adjacent(cur, k)
-                if other is not None and other in index and other not in comp:
-                    comp.add(other)
-                    queue.append(other)
-        seen |= comp
-        members = tuple(sorted(comp, key=index.__getitem__))
-        classes.append(SemistandardClass(mu, members))
-    return classes
+        ids = []
+        for a, b in frames:
+            start, steps = t.shapes[a], t.steps[a:b]
+            cid = component.get((start, steps))
+            if cid is None:
+                cid = len(component)  # fresh: each labelling adds keys
+                seg = Tableau._trusted(start, steps, t.shapes[a:b + 1])
+                for m in _swap_component(seg):
+                    component[m.start, m.steps] = cid
+            ids.append(cid)
+        groups.setdefault(tuple(ids), []).append(t)
+    return [SemistandardClass(mu, tuple(ms)) for ms in groups.values()]
+
+
+def _swap_component(seg: Tableau) -> set[Tableau]:
+    """The paths reached from seg by valid swaps of adjacent steps."""
+    comp = {seg}
+    queue = [seg]
+    while queue:
+        cur = queue.pop()
+        for k in range(1, len(cur.steps)):
+            other = swap_adjacent(cur, k)
+            if other is not None and other not in comp:
+                comp.add(other)
+                queue.append(other)
+    return comp
 
 
 def is_semistandard(cls: SemistandardClass) -> bool:

@@ -10,8 +10,8 @@ from stablekron.branching import (
     enumerate_std0, error_path, is_dvir, remove_box, step_key, swap_adjacent,
 )
 from stablekron.partitions import (
-    contains, intersect, is_copieri, pad, part, partition, partitions_of,
-    partitions_up_to, size, skew_diff_sizes, minmax, Undefined,
+    contains, intersect, is_copieri, pad, partition, partitions_of,
+    partitions_up_to, size, skew_diff_sizes,
 )
 from stablekron.verify import bell_counts, bell_number
 

@@ -9,13 +9,17 @@ import pytest
 from stablekron import oracle
 from stablekron.oracle import (
     BudgetExceeded, SizeMismatch, StabilityError, StableResult, class_size,
-    clear_character_memo, dvir_step, kronecker, mn_character, p_set,
+    dvir_step, kronecker, mn_character, p_set,
     stable_kronecker_oracle, z_order,
 )
 from stablekron.partitions import (
     NotAPartition, contains, is_horizontal, pad, part, partition,
     partitions_of, partitions_up_to, size,
 )
+
+
+def clear_character_memo():
+    oracle._char_memo.clear()
 
 
 def hook_dimension(lam):

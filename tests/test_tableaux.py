@@ -13,18 +13,18 @@ import pytest
 
 from conftest import prefix_lattice
 
-from stablekron.branching import Tableau, step_str
+from stablekron.branching import Tableau, enumerate_std0, step_str, swap_adjacent
 from stablekron.lr import (
     ShapeMismatch, classical_lr, is_lattice_word, ssyt_count, _skew_ssyt,
 )
 from stablekron.partitions import (
-    contains, is_copieri, is_maximal_depth, part, partition, partitions_of,
-    partitions_up_to,
+    contains, is_copieri, is_maximal_depth, part, partial_sum, partition,
+    partitions_of, partitions_up_to, size,
 )
 from stablekron.tableaux import (
     NotApplicable, SemistandardClass, class_counts, count_latticed,
     count_sstd, good_mask, is_lattice, is_semistandard, mu_classes,
-    reading_word, stable_kronecker,
+    reading_word, stable_kronecker, _form_classes,
 )
 
 
@@ -153,6 +153,39 @@ def r_map_inverse(word, c: int, sharp, k: int = 1):
 
 
 
+def _compositions(s):
+    """Every composition of s into positive parts, lexicographically."""
+    if s == 0:
+        return [()]
+    return [(first,) + rest for first in range(1, s + 1)
+            for rest in _compositions(s - first)]
+
+
+def _reference_form_classes(std0, mu):
+    """The weight-mu classes of std0 by swap-BFS over whole paths: the
+    member tuples, each in std0 order, in order of their first member."""
+    index = {t: i for i, t in enumerate(std0)}
+    bounds = {partial_sum(mu, c) for c in range(1, len(mu))}
+    allowed = [k for k in range(1, size(mu)) if k not in bounds]
+    seen = set()
+    classes = []
+    for t in std0:
+        if t in seen:
+            continue
+        comp = {t}
+        queue = [t]
+        while queue:
+            cur = queue.pop()
+            for k in allowed:
+                other = swap_adjacent(cur, k)
+                if other is not None and other in index and other not in comp:
+                    comp.add(other)
+                    queue.append(other)
+        seen |= comp
+        classes.append(tuple(sorted(comp, key=index.__getitem__)))
+    return classes
+
+
 class TestClasses:
     def test_three_classes_of_two(self):
         classes = mu_classes((4, 2), (5, 3, 1), (2, 1))
@@ -176,6 +209,56 @@ class TestClasses:
         assert bounds[0] == (4, 2)
         assert bounds[-1] == (5, 3, 1)
         assert len(bounds) == 3
+
+    def test_frame_components_equal_whole_path_bfs(self):
+        # equality gate for the per-frame class formation: the same
+        # classes, members and order as the swap-BFS over whole paths
+        pool = partitions_up_to(4)
+        cases = 0
+        for lam in pool:
+            for nu in pool:
+                for s in range(1, 5):
+                    std0 = enumerate_std0(lam, nu, s)
+                    if not std0:
+                        continue
+                    for mu in _compositions(s):
+                        got = [c.members for c in _form_classes(std0, mu)]
+                        assert got == _reference_form_classes(std0, mu), \
+                            (lam, nu, mu)
+                        cases += 1
+        assert cases == 1777
+
+    def test_valid_swaps_stay_non_radical(self):
+        # a swap keeps the multiset of steps, so the radical filter
+        # cannot tell a path from its valid swaps
+        pool = partitions_up_to(3)
+        for lam in pool:
+            for nu in pool:
+                for s in range(5):
+                    std0 = enumerate_std0(lam, nu, s)
+                    members = set(std0)
+                    for t in std0:
+                        for k in range(1, s):
+                            other = swap_adjacent(t, k)
+                            assert other is None or other in members, (t, k)
+
+    def test_members_share_boundaries_and_frame_multisets(self):
+        pool = partitions_up_to(3)
+        for lam in pool:
+            for nu in pool:
+                for s in range(1, 5):
+                    std0 = enumerate_std0(lam, nu, s)
+                    for mu in _compositions(s):
+                        cuts = [partial_sum(mu, c) for c in range(len(mu) + 1)]
+                        for cls in _form_classes(std0, mu):
+                            signatures = {
+                                (tuple(m.shapes[c] for c in cuts),
+                                 tuple(tuple(sorted(m.steps[a:b]))
+                                       for a, b in zip(cuts, cuts[1:])))
+                                for m in cls.members}
+                            assert len(signatures) == 1, cls
+                            (bounds, _), = signatures
+                            assert bounds == cls.boundary_shapes()
 
 
 class TestSemistandard:

@@ -6,11 +6,22 @@ stacks the left factor over the right, identifies the middle row, and
 multiplies by n for every component left entirely in the middle.
 Algebra elements carry integer-polynomial-in-n coefficients, so every
 identity checked here holds for all n simultaneously.
+
+Products are cheap where the algebra makes them trivial.  A permutation
+diagram (every block one southern and one northern point) joins each
+middle point of a product to exactly one outer point, so multiplying by
+it only renames the other factor's points on that side and closes no
+loop.  The swap identity's s_k and every factor of s_range and m_sum
+take this path.  The factors of the branching coefficients (e_int,
+e_half, s_range, m_sum) and the partial products of Murphy elements are
+built once per argument tuple through bounded LRU caches
+(FACTOR_CACHE_SIZE, MURPHY_CACHE_SIZE); the public functions return
+fresh copies of the cached elements.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, wraps
 
 from .branching import Tableau, error_path, is_dvir, remove_box, swap_adjacent
 from .partitions import part, partial_sum, partition, size
@@ -104,6 +115,15 @@ class Diagram:
         self._hash = hash((r, canon))
 
     @classmethod
+    def _trusted(cls, r: int, blocks) -> "Diagram":
+        """A diagram from blocks the caller knows partition the 2r points."""
+        d = cls.__new__(cls)
+        d.r = r
+        d.blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
+        d._hash = hash((r, d.blocks))
+        return d
+
+    @classmethod
     def identity(cls, r: int) -> "Diagram":
         return cls(r, [(k, r + k) for k in range(1, r + 1)])
 
@@ -125,12 +145,38 @@ class Diagram:
         return f"Diagram({self.r}, {self})"
 
 
+def _matching(d: Diagram):
+    """If d is a permutation, every block one southern and one northern
+    point, the list taking each point to the other point of its block;
+    otherwise None."""
+    r = d.r
+    mate = [0] * (2 * r + 1)
+    for b in d.blocks:
+        if len(b) != 2 or b[0] > r or b[1] <= r:
+            return None
+        mate[b[0]], mate[b[1]] = b[1], b[0]
+    return mate
+
+
 def multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
     """Concatenate x over y; return the reduced diagram and the number
-    of components removed from the middle row."""
+    of components removed from the middle row.
+
+    When y is a permutation, every middle point joins one bottom point,
+    so the product is x with its southern points renamed and no loop;
+    when x is one, y with its northern points renamed.  Any other pair
+    goes through a union-find over the three rows."""
     if x.r != y.r:
         raise RankMismatch(f"ranks {x.r} and {y.r} differ")
     r = x.r
+    mate = _matching(y)
+    if mate is not None:
+        return Diagram._trusted(r, [[mate[c + r] if c <= r else c for c in b]
+                                    for b in x.blocks]), 0
+    mate = _matching(x)
+    if mate is not None:
+        return Diagram._trusted(r, [[c if c <= r else mate[c - r] for c in b]
+                                    for b in y.blocks]), 0
     # union-find over 3r points: 1..r bottom, r+1..2r middle, 2r+1..3r top
     parent = list(range(3 * r + 1))
 
@@ -166,7 +212,7 @@ def multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
             blocks.append(outer)
         elif all(r < m <= 2 * r for m in members):
             loops += 1
-    return Diagram(r, blocks), loops
+    return Diagram._trusted(r, blocks), loops
 
 
 class Element:
@@ -273,7 +319,24 @@ def gen_p_half(k: int, r: int) -> Diagram:
 
 # -- Murphy-basis building blocks -------------------------------------------
 
+FACTOR_CACHE_SIZE = 256
 
+
+def _built_once(builder):
+    """Cache builder's elements in an LRU bounded at FACTOR_CACHE_SIZE
+    argument tuples; every call returns a fresh copy."""
+    cached = lru_cache(maxsize=FACTOR_CACHE_SIZE)(builder)
+
+    @wraps(builder)
+    def fresh(*args) -> Element:
+        element = cached(*args)
+        return Element(element.r, element.terms)
+
+    fresh.cache_clear = cached.cache_clear
+    return fresh
+
+
+@_built_once
 def e_int(k: int, l: int, r: int) -> Element:
     """Product of l integral idempotent-like factors ending at p_k."""
     if k == 0 or l == 0:
@@ -286,6 +349,7 @@ def e_int(k: int, l: int, r: int) -> Element:
     return out
 
 
+@_built_once
 def e_half(k: int, l: int, r: int) -> Element:
     """Product of l half-level merge factors ending at p_{k+1/2}."""
     if k == 0 or l == 0:
@@ -298,6 +362,7 @@ def e_half(k: int, l: int, r: int) -> Element:
     return out
 
 
+@_built_once
 def s_range(l: int, k: int, r: int) -> Element:
     """The chain s_l s_{l+1} ... s_{k-1} (inverted when k < l); the
     conventions: 1 if l or k is 0, 0 if either is negative."""
@@ -312,6 +377,7 @@ def s_range(l: int, k: int, r: int) -> Element:
     return out
 
 
+@_built_once
 def m_sum(shape, b: int, r: int) -> Element:
     """Sum over i of the chains ending at the partial sum through row b:
     the row-insertion sum in the branching coefficients."""

@@ -7,6 +7,8 @@ reads absent parts as 0.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 
 class NotAPartition(ValueError):
     """Raised when a sequence fails to be a valid partition."""
@@ -143,9 +145,19 @@ def is_maximal_depth(lam, nu, s: int) -> bool:
 
 
 def partitions_of(k: int, max_len=None) -> list[tuple[int, ...]]:
-    """All partitions of k (optionally length-bounded), reverse lexicographic."""
+    """All partitions of k (optionally length-bounded), reverse
+    lexicographic.  A fresh list each call, copied from an LRU cache of
+    the last PARTITIONS_CACHE_SIZE (k, max_len) enumerations."""
     if k < 0:
         raise ValueError("k must be non-negative")
+    return list(_partitions_of(k, max_len))
+
+
+PARTITIONS_CACHE_SIZE = 64
+
+
+@lru_cache(maxsize=PARTITIONS_CACHE_SIZE)
+def _partitions_of(k: int, max_len) -> tuple[tuple[int, ...], ...]:
     out: list[tuple[int, ...]] = []
 
     def rec(rem, largest, prefix):
@@ -160,7 +172,7 @@ def partitions_of(k: int, max_len=None) -> list[tuple[int, ...]]:
             prefix.pop()
 
     rec(k, k, [])
-    return out
+    return tuple(out)
 
 
 def partitions_up_to(k: int) -> list[tuple[int, ...]]:

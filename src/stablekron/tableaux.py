@@ -20,8 +20,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .partitions import (
-    composition, intersect, is_copieri, is_horizontal, is_maximal_depth,
-    partial_sum, partition, partitions_of, size, skew_diff_sizes,
+    composition, is_copieri, is_maximal_depth, partial_sum, partition,
+    partitions_of, size, skew_diff_sizes,
 )
 from .branching import Tableau, enumerate_std0, step_key, swap_adjacent
 # the benchmark's maximal-depth reference reads tableaux.classical_lr
@@ -123,10 +123,20 @@ def is_semistandard(cls: SemistandardClass) -> bool:
     one-sided skews (relative to their intersection) horizontal."""
     shapes = cls.boundary_shapes()
     for prev, cur in zip(shapes, shapes[1:]):
-        inter = intersect(prev, cur)
-        if not is_horizontal(cur, inter) or not is_horizontal(prev, inter):
+        if not (_horizontal_over_meet(cur, prev)
+                and _horizontal_over_meet(prev, cur)):
             return False
     return True
+
+
+def _horizontal_over_meet(x, y) -> bool:
+    """is_horizontal(x, intersect(x, y)) for partitions x and y, without
+    re-validating them.  The skew is horizontal iff every row x_(i+1)
+    is at most min(x_i, y_i), that is at most y_i, with the rows past
+    the end of y read as 0; so x has at most one row more than y."""
+    if len(x) > len(y) + 1:
+        return False
+    return all(below <= above for below, above in zip(x[1:], y))
 
 
 def reading_word(cls: SemistandardClass):

@@ -11,6 +11,7 @@ from itertools import permutations, product
 
 import pytest
 
+from stablekron import diagalg
 from stablekron.branching import Tableau, enumerate_std, error_path, is_dvir, swap_adjacent
 from stablekron.diagalg import (
     Diagram, Element, NotDvir, RankMismatch, branching_coeff,
@@ -90,6 +91,56 @@ def random_diagram(rng, r):
     return Diagram(r, blocks.values())
 
 
+def random_permutation(rng, r):
+    """A uniform random permutation diagram: every block joins one
+    southern point to one northern point."""
+    image = list(range(1, r + 1))
+    rng.shuffle(image)
+    return Diagram(r, [(j, r + m) for j, m in enumerate(image, start=1)])
+
+
+def _reference_multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
+    """The product by a union-find over the three rows for every pair
+    of diagrams: the reference for multiply's permutation relabeling."""
+    if x.r != y.r:
+        raise RankMismatch(f"ranks {x.r} and {y.r} differ")
+    r = x.r
+    parent = list(range(3 * r + 1))
+
+    def find(a):
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        return a
+
+    def union(a, b):
+        ra, rb = find(a), find(b)
+        if ra != rb:
+            parent[ra] = rb
+
+    for block in y.blocks:
+        for c in block[1:]:
+            union(block[0], c)
+    for block in x.blocks:
+        mapped = [c + r for c in block]
+        for c in mapped[1:]:
+            union(mapped[0], c)
+
+    comps: dict[int, list[int]] = {}
+    for pt in range(1, 3 * r + 1):
+        comps.setdefault(find(pt), []).append(pt)
+
+    loops = 0
+    blocks = []
+    for members in comps.values():
+        outer = [m if m <= r else m - r for m in members if m <= r or m > 2 * r]
+        if outer:
+            blocks.append(outer)
+        elif all(r < m <= 2 * r for m in members):
+            loops += 1
+    return Diagram(r, blocks), loops
+
+
 class TestDiagrams:
     def test_canonical_form_and_str(self):
         d = Diagram(2, [(4,), (2, 1, 3)])
@@ -132,9 +183,27 @@ class TestDiagrams:
                 z = Element.from_diagram(random_diagram(rng, r))
                 assert (x * y) * z == x * (y * z)
 
+    def test_multiply_matches_union_find(self):
+        # equality gate for the permutation relabeling: 20,000 seeded
+        # pairs, a quarter each with a permutation on the left, on the
+        # right, on both sides and on neither
+        rng = random.Random(20_000)
+        kinds = [(random_permutation, random_diagram),
+                 (random_diagram, random_permutation),
+                 (random_permutation, random_permutation),
+                 (random_diagram, random_diagram)]
+        for i in range(20_000):
+            r = rng.randint(1, 6)
+            left, right = kinds[i % 4]
+            x, y = left(rng, r), right(rng, r)
+            got, want = multiply(x, y), _reference_multiply(x, y)
+            assert got[0].blocks == want[0].blocks and got[1] == want[1], (x, y)
+
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatch):
             multiply(gen_p(1, 1), gen_p(1, 2))
+        with pytest.raises(RankMismatch):
+            multiply(gen_s(1, 2), gen_s(1, 3))
         with pytest.raises(RankMismatch):
             Element.one(1) + Element.one(2)
 
@@ -191,6 +260,12 @@ def special_path(nu, r):
     return Tableau((), steps)
 
 
+def clear_caches():
+    for cached in (diagalg.e_int, diagalg.e_half, diagalg.s_range,
+                   diagalg.m_sum, diagalg._murphy_prefix):
+        cached.cache_clear()
+
+
 def _reference_murphy_u(t, r):
     """The ascending Murphy element as the uncached top-down product of
     the up coefficients."""
@@ -212,6 +287,23 @@ class TestMurphyElements:
                 for t in enumerate_std((), nu, r):
                     want = _reference_murphy_u(t, r)
                     assert murphy_u(t, r).terms == want.terms, t
+
+    def test_matches_union_find_products(self, monkeypatch):
+        # equality gate for the permutation relabeling and the factor
+        # cache: every path from the empty partition with r <= 5, against
+        # Murphy elements built with the union-find product throughout
+        paths = [t for r in range(1, 6) for nu in partitions_up_to(r)
+                 for t in enumerate_std((), nu, r)]
+        assert len(paths) == 1203
+        clear_caches()
+        fast = [murphy_u(t).terms for t in paths]
+        monkeypatch.setattr(diagalg, "multiply", _reference_multiply)
+        clear_caches()
+        try:
+            slow = [murphy_u(t).terms for t in paths]
+        finally:
+            clear_caches()
+        assert fast == slow
 
     def test_cached_element_survives_arithmetic(self):
         r = 4

@@ -162,6 +162,17 @@ class TestEnumeration:
     def test_max_len(self):
         assert partitions_of(4, max_len=2) == [(4,), (3, 1), (2, 2)]
 
+    def test_returns_a_fresh_list(self):
+        # the enumeration is cached; a caller's edits must not reach it
+        out = partitions_of(4)
+        out.append((9,))
+        out[0] = (0,)
+        assert partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+        empty = partitions_of(0)
+        empty.clear()
+        assert partitions_of(0) == [()]
+        assert partitions_of(4, max_len=2) == [(4,), (3, 1), (2, 2)]
+
     def test_partitions_up_to(self):
         pool = partitions_up_to(3)
         assert pool == [(), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]

@@ -18,13 +18,13 @@ from stablekron.lr import (
     ShapeMismatch, classical_lr, is_lattice_word, ssyt_count, _skew_ssyt,
 )
 from stablekron.partitions import (
-    contains, is_copieri, is_maximal_depth, part, partial_sum, partition,
-    partitions_of, partitions_up_to, size,
+    contains, intersect, is_copieri, is_horizontal, is_maximal_depth, part,
+    partial_sum, partition, partitions_of, partitions_up_to, size,
 )
 from stablekron.tableaux import (
     NotApplicable, SemistandardClass, class_counts, count_latticed,
     count_sstd, good_mask, is_lattice, is_semistandard, mu_classes,
-    reading_word, stable_kronecker, _form_classes,
+    reading_word, stable_kronecker, _form_classes, _horizontal_over_meet,
 )
 
 
@@ -277,6 +277,16 @@ class TestSemistandard:
         t = Tableau((), [(0, 1), (0, 1)])
         cls = SemistandardClass((2,), (t,))
         assert is_semistandard(cls)
+
+    def test_boundary_check_matches_is_horizontal(self):
+        # the trusted boundary test against the validating one on every
+        # ordered pair of partitions of size <= 9
+        pool = partitions_up_to(9)
+        pairs = [(x, y) for x in pool for y in pool]
+        assert len(pairs) == 9409
+        for x, y in pairs:
+            want = is_horizontal(x, intersect(x, y))
+            assert _horizontal_over_meet(x, y) == want, (x, y)
 
 
 class TestReadingWords:

@@ -9,7 +9,7 @@ intermediate shapes are partitions.
 
 from __future__ import annotations
 
-from .partitions import intersect, part, partition, size
+from .partitions import part, partition, size
 
 Step = tuple[int, int]
 
@@ -145,7 +145,7 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
     def distance(shape):
         d = dist.get(shape)
         if d is None:
-            inter = size(intersect(shape, nu))
+            inter = sum(map(min, shape, nu))
             d = dist[shape] = max(size(shape) - inter, size_nu - inter)
         return d
 

@@ -7,16 +7,14 @@ multiplies by n for every component left entirely in the middle.
 Algebra elements carry integer-polynomial-in-n coefficients, so every
 identity checked here holds for all n simultaneously.
 
-Products are cheap where the algebra makes them trivial.  A permutation
-diagram (every block one southern and one northern point) joins each
-middle point of a product to exactly one outer point, so multiplying by
-it only renames the other factor's points on that side and closes no
-loop.  The swap identity's s_k and every factor of s_range and m_sum
-take this path.  The factors of the branching coefficients (e_int,
-e_half, s_range, m_sum) and the partial products of Murphy elements are
-built once per argument tuple through bounded LRU caches
-(FACTOR_CACHE_SIZE, MURPHY_CACHE_SIZE); the public functions return
-fresh copies of the cached elements.
+A diagram is stored as its labels: the block number of each point 1..2r
+in turn, blocks numbered from 0 in order of their least point, so equal
+set-partitions have equal label tuples.  A product is one union-find
+over the block labels of its two factors.  The factors of the branching
+coefficients (e_int, e_half, s_range, m_sum) and the partial products
+of Murphy elements are built once per argument tuple through bounded
+LRU caches (FACTOR_CACHE_SIZE, MURPHY_CACHE_SIZE); the public functions
+return fresh copies of the cached elements.
 """
 
 from __future__ import annotations
@@ -100,36 +98,55 @@ def poly_str(a) -> str:
 # -- diagrams ----------------------------------------------------------------
 
 
-class Diagram:
-    """A set-partition of {1..r} (southern) and {r+1..2r} (northern)."""
+def _first_seen(labels) -> tuple[int, ...]:
+    """Renumber labels 0, 1, ... in order of first appearance."""
+    names: dict = {}
+    return tuple(names.setdefault(c, len(names)) for c in labels)
 
-    __slots__ = ("r", "blocks", "_hash")
+
+class Diagram:
+    """A set-partition of {1..r} (southern) and {r+1..2r} (northern),
+    stored as the label of each point's block in canonical numbering."""
+
+    __slots__ = ("r", "labels", "_hash")
 
     def __init__(self, r: int, blocks):
-        self.r = r
-        canon = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        seen = [c for b in canon for c in b]
-        if sorted(seen) != list(range(1, 2 * r + 1)):
+        blocks = [tuple(b) for b in blocks]
+        seen = sorted(c for b in blocks for c in b)
+        if seen != list(range(1, 2 * r + 1)) or not all(blocks):
             raise ValueError(f"blocks {blocks!r} do not partition 2r={2*r} points")
-        self.blocks = canon
-        self._hash = hash((r, canon))
+        labels = [0] * (2 * r)
+        for i, b in enumerate(blocks):
+            for c in b:
+                labels[c - 1] = i
+        self.r = r
+        self.labels = _first_seen(labels)
+        self._hash = hash((r, self.labels))
 
     @classmethod
-    def _trusted(cls, r: int, blocks) -> "Diagram":
-        """A diagram from blocks the caller knows partition the 2r points."""
+    def _trusted(cls, r: int, labels) -> "Diagram":
+        """A diagram from labels the caller knows are canonical."""
         d = cls.__new__(cls)
         d.r = r
-        d.blocks = tuple(sorted(tuple(sorted(b)) for b in blocks))
-        d._hash = hash((r, d.blocks))
+        d.labels = labels
+        d._hash = hash((r, labels))
         return d
 
     @classmethod
     def identity(cls, r: int) -> "Diagram":
         return cls(r, [(k, r + k) for k in range(1, r + 1)])
 
+    @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        """The blocks as sorted point tuples, ordered by least point."""
+        out: list[list[int]] = [[] for _ in range(max(self.labels, default=-1) + 1)]
+        for pt, c in enumerate(self.labels, start=1):
+            out[c].append(pt)
+        return tuple(map(tuple, out))
+
     def __eq__(self, other):
         return (isinstance(other, Diagram)
-                and self.r == other.r and self.blocks == other.blocks)
+                and self.r == other.r and self.labels == other.labels)
 
     def __hash__(self):
         return self._hash
@@ -145,74 +162,32 @@ class Diagram:
         return f"Diagram({self.r}, {self})"
 
 
-def _matching(d: Diagram):
-    """If d is a permutation, every block one southern and one northern
-    point, the list taking each point to the other point of its block;
-    otherwise None."""
-    r = d.r
-    mate = [0] * (2 * r + 1)
-    for b in d.blocks:
-        if len(b) != 2 or b[0] > r or b[1] <= r:
-            return None
-        mate[b[0]], mate[b[1]] = b[1], b[0]
-    return mate
-
-
 def multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
     """Concatenate x over y; return the reduced diagram and the number
     of components removed from the middle row.
 
-    When y is a permutation, every middle point joins one bottom point,
-    so the product is x with its southern points renamed and no loop;
-    when x is one, y with its northern points renamed.  Any other pair
-    goes through a union-find over the three rows."""
+    A union-find over the block labels, y's first and x's after them,
+    joins y's northern point m with x's southern point m; each label
+    points at its component, and a merge repoints the members of one.
+    The outer points, y's southern then x's northern, take the
+    components' labels by first appearance, and every component that
+    no outer point reaches is a loop."""
     if x.r != y.r:
         raise RankMismatch(f"ranks {x.r} and {y.r} differ")
     r = x.r
-    mate = _matching(y)
-    if mate is not None:
-        return Diagram._trusted(r, [[mate[c + r] if c <= r else c for c in b]
-                                    for b in x.blocks]), 0
-    mate = _matching(x)
-    if mate is not None:
-        return Diagram._trusted(r, [[c if c <= r else mate[c - r] for c in b]
-                                    for b in y.blocks]), 0
-    # union-find over 3r points: 1..r bottom, r+1..2r middle, 2r+1..3r top
-    parent = list(range(3 * r + 1))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
-    def union(a, b):
-        ra, rb = find(a), find(b)
-        if ra != rb:
-            parent[ra] = rb
-
-    for block in y.blocks:
-        head = block[0]
-        for c in block[1:]:
-            union(head, c)  # y codes already match bottom/middle ids
-    for block in x.blocks:
-        mapped = [c + r for c in block]  # southern -> middle, northern -> top
-        for c in mapped[1:]:
-            union(mapped[0], c)
-
-    comps: dict[int, list[int]] = {}
-    for pt in range(1, 3 * r + 1):
-        comps.setdefault(find(pt), []).append(pt)
-
-    loops = 0
-    blocks = []
-    for members in comps.values():
-        outer = [m if m <= r else m - r for m in members if m <= r or m > 2 * r]
-        if outer:
-            blocks.append(outer)
-        elif all(r < m <= 2 * r for m in members):
-            loops += 1
-    return Diagram._trusted(r, blocks), loops
+    xl, yl = x.labels, y.labels
+    shift = max(yl, default=-1) + 1
+    comp = list(range(shift + max(xl, default=-1) + 1))
+    members = [[c] for c in comp]
+    for m in range(r):
+        a, b = comp[yl[r + m]], comp[xl[m] + shift]
+        if a != b:
+            for c in members[b]:
+                comp[c] = a
+            members[a] += members[b]
+    outer = [comp[c] for c in yl[:r]] + [comp[c + shift] for c in xl[r:]]
+    loops = len(set(comp)) - len(set(outer))
+    return Diagram._trusted(r, _first_seen(outer)), loops
 
 
 class Element:
@@ -492,14 +467,8 @@ def dvir_diagram_check(lam, nu, s: int, t: Tableau) -> bool:
     prefix = maximal_path(lam, r - s)
     full = Tableau((), prefix.steps + t.steps)
     u = murphy_u(full, r)
-    south_hi = range(r - s + 1, r + 1)
     for d in u.terms:
-        crossing = 0
-        for block in d.blocks:
-            has_hi = any(c in south_hi for c in block if c <= r)
-            has_other = any(c > r or c <= r - s for c in block)
-            if has_hi and has_other:
-                crossing += 1
-        if crossing > s - 1:
+        labels = d.labels
+        if len(set(labels[r - s:r]) & set(labels[:r - s] + labels[r:])) > s - 1:
             return False
     return True

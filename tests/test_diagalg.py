@@ -100,8 +100,8 @@ def random_permutation(rng, r):
 
 
 def _reference_multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
-    """The product by a union-find over the three rows for every pair
-    of diagrams: the reference for multiply's permutation relabeling."""
+    """The product by a union-find over the points of the three rows:
+    the reference for multiply's union-find over block labels."""
     if x.r != y.r:
         raise RankMismatch(f"ranks {x.r} and {y.r} differ")
     r = x.r
@@ -150,6 +150,25 @@ class TestDiagrams:
     def test_partition_check(self):
         with pytest.raises(ValueError):
             Diagram(2, [(1, 2), (2, 3, 4)])
+        with pytest.raises(ValueError):
+            Diagram(2, [(1, 2), (3,)])
+        with pytest.raises(ValueError):
+            Diagram(1, [(1, 2), ()])
+
+    def test_labels_are_canonical(self):
+        # shuffling the blocks and the points inside them changes neither
+        # the labels nor the hash, and blocks reads back the sorted form
+        rng = random.Random(7)
+        for _ in range(500):
+            d = random_diagram(rng, rng.randint(1, 6))
+            blocks = [list(b) for b in d.blocks]
+            for b in blocks:
+                rng.shuffle(b)
+            rng.shuffle(blocks)
+            e = Diagram(d.r, blocks)
+            assert e.labels == d.labels and hash(e) == hash(d)
+            assert e.blocks == tuple(sorted(tuple(sorted(b)) for b in blocks))
+            assert e.labels[0] == 0 and max(e.labels) == len(blocks) - 1
 
     def test_star_is_involutive_flip(self):
         assert diagram_star(gen_p(1, 2)) == gen_p(1, 2)
@@ -184,9 +203,9 @@ class TestDiagrams:
                 assert (x * y) * z == x * (y * z)
 
     def test_multiply_matches_union_find(self):
-        # equality gate for the permutation relabeling: 20,000 seeded
-        # pairs, a quarter each with a permutation on the left, on the
-        # right, on both sides and on neither
+        # equality gate for the label product: 20,000 seeded pairs, a
+        # quarter each with a permutation on the left, on the right, on
+        # both sides and on neither
         rng = random.Random(20_000)
         kinds = [(random_permutation, random_diagram),
                  (random_diagram, random_permutation),
@@ -289,9 +308,9 @@ class TestMurphyElements:
                     assert murphy_u(t, r).terms == want.terms, t
 
     def test_matches_union_find_products(self, monkeypatch):
-        # equality gate for the permutation relabeling and the factor
-        # cache: every path from the empty partition with r <= 5, against
-        # Murphy elements built with the union-find product throughout
+        # equality gate for the label product and the factor cache:
+        # every path from the empty partition with r <= 5, against Murphy
+        # elements built with the point-level union-find throughout
         paths = [t for r in range(1, 6) for nu in partitions_up_to(r)
                  for t in enumerate_std((), nu, r)]
         assert len(paths) == 1203

@@ -18,8 +18,8 @@ from .tableaux import (
     stable_kronecker,
 )
 from .oracle import (
-    BudgetExceeded, StableResult, dvir_step, kronecker, mn_character,
-    p_set, stable_kronecker_oracle,
+    BudgetExceeded, StableResult, kronecker, mn_character,
+    stable_kronecker_oracle,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -1,11 +1,15 @@
 """Classical Littlewood-Richardson and Kostka counts.
 
-Both count semistandard fillings of a (skew) shape by direct
-enumeration; the Littlewood-Richardson count keeps the fillings whose
-reverse reading word is a lattice word.  The lattice test here works on
-raw prefix counts, as in the definition, and the module depends only on
-`partitions`, so the maximal-depth cross-check of the counting rule
-against these numbers shares no code with the rule's own lattice scan.
+The Kostka count enumerates semistandard fillings of a shape directly.
+The Littlewood-Richardson count walks the cells of the skew shape in
+reverse reading order and places an entry only where the filling stays
+semistandard and the word read so far stays a lattice word, so it
+visits no filling that fails the lattice condition.  Its lattice test
+works on raw prefix counts, as in the definition, and the module
+depends only on `partitions`, so the maximal-depth cross-check of the
+counting rule against these numbers shares no code with the rule's own
+lattice scan.  Both counts are memoized in LRU caches bounded at
+LR_CACHE_SIZE arguments each.
 """
 
 from __future__ import annotations
@@ -17,17 +21,6 @@ from .partitions import composition, contains, part, partition, size
 
 class ShapeMismatch(ValueError):
     """Incompatible shapes/sizes for a Littlewood-Richardson count."""
-
-
-def is_lattice_word(word) -> bool:
-    """True iff every prefix of the word has at least as many i's as
-    (i+1)'s, for every i >= 1."""
-    counts: dict[int, int] = {}
-    for x in word:
-        counts[x] = counts.get(x, 0) + 1
-        if x > 1 and counts[x] > counts.get(x - 1, 0):
-            return False
-    return True
 
 
 def _skew_ssyt(outer, inner, weight):
@@ -68,14 +61,6 @@ def _skew_ssyt(outer, inner, weight):
     yield from rec(0)
 
 
-def _reverse_reading_word(filling):
-    """Entries read right-to-left along successive rows, top to bottom."""
-    word = []
-    for row in filling:
-        word.extend(reversed(row))
-    return word
-
-
 def classical_lr(lam, nu, mu) -> int:
     """Littlewood-Richardson coefficient: semistandard fillings of
     nu/lam of weight mu whose reverse reading word is a lattice word."""
@@ -87,12 +72,47 @@ def classical_lr(lam, nu, mu) -> int:
     return _classical_lr(lam, nu, mu)
 
 
-@lru_cache(maxsize=None)
+LR_CACHE_SIZE = 4096
+
+
+@lru_cache(maxsize=LR_CACHE_SIZE)
 def _classical_lr(lam, nu, mu) -> int:
     """`classical_lr` on partition tuples already known to satisfy its
-    checks: lam inside nu and |nu| = |lam| + |mu|."""
-    return sum(1 for f in _skew_ssyt(nu, lam, mu)
-               if is_lattice_word(_reverse_reading_word(f)))
+    checks: lam inside nu and |nu| = |lam| + |mu|.
+
+    Walks the cells of nu/lam row by row from the top, each row right to
+    left, and puts v in cell (i, j) (row i counted from 1) only if v is
+    at most the entry to its right, greater than the entry above it,
+    v <= i, fewer than mu_v v's are placed, and v = 1 or fewer v's than
+    (v - 1)'s are placed.  The last two keep the word read so far a
+    lattice word of content at most mu; each completed walk is one
+    filling of content exactly mu, since the sizes agree."""
+    cells = [(i, j) for i in range(len(nu))
+             for j in range(nu[i] - 1, part(lam, i + 1) - 1, -1)]
+    count = [0] * (len(mu) + 1)  # count[v] for v >= 1; count[0] is unused
+    grid: dict[tuple[int, int], int] = {}
+
+    def walk(pos):
+        if pos == len(cells):
+            return 1
+        i, j = cells[pos]
+        # cells right of and above (i, j) come earlier in the walk, so a
+        # skew cell there already holds its entry
+        top = min(i + 1, len(mu))
+        if j + 1 < nu[i]:
+            top = min(top, grid[(i, j + 1)])
+        low = grid[(i - 1, j)] + 1 if i and j >= part(lam, i) else 1
+        leaves = 0
+        for v in range(low, top + 1):
+            placed = count[v]
+            if placed < mu[v - 1] and (v == 1 or placed < count[v - 1]):
+                count[v] = placed + 1
+                grid[(i, j)] = v
+                leaves += walk(pos + 1)
+                count[v] = placed
+        return leaves
+
+    return walk(0)
 
 
 def ssyt_count(tau, mu) -> int:
@@ -104,6 +124,6 @@ def ssyt_count(tau, mu) -> int:
     return _ssyt_count(tau, mu)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=LR_CACHE_SIZE)
 def _ssyt_count(tau, mu) -> int:
     return sum(1 for _ in _skew_ssyt(tau, (), mu))

@@ -6,24 +6,29 @@ masks (the abacus): removing a border strip of length r moves one bead
 from bit b to an empty bit b - r, with the sign given by the parity of
 the beads in between (counted with int.bit_count, so Python >= 3.10).
 Beads of empty rows are dropped, so each partition has one mask.
-Kronecker coefficients are evaluated by the class-weighted triple product,
-and the stable coefficient by one evaluation at a stabilization bound.
-By Briand-Orellana-Rosas (2011), g(lam[n], nu[n], mu[n]) is constant
-for n >= |beta| + |gamma| + alpha_1, for any assignment of lam, nu, mu
-to the roles alpha, beta, gamma; Brion (1993) showed the sequence is
-weakly increasing in n.  A one-step recursion expressing the padded
-coefficient through skew terms and horizontal-strip additions provides
-an independent identity check.
+Kronecker coefficients are evaluated by the class-weighted triple
+product.  The stable coefficient is evaluated by Littlewood's (1958)
+formula, which needs Kronecker coefficients only of partitions of
+k <= min(|lam|, |nu|, |mu|), and Littlewood-Richardson coefficients
+from `lr`:
+
+    gbar(lam, mu, nu) = sum over k, and alpha, beta, gamma of k, of
+        g(alpha, beta, gamma) * sum over delta, eps, zeta of
+        c^lam_{alpha delta eps} c^mu_{beta delta zeta} c^nu_{gamma eps zeta}
+
+with c^lam_{alpha delta eps} = sum over eta of c^lam_{alpha eta}
+c^eta_{delta eps}.  Characters, Kronecker and stable coefficients are
+memoized in LRU caches bounded at CHAR_CACHE_SIZE, KRON_CACHE_SIZE and
+STABLE_CACHE_SIZE arguments.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from math import factorial
 
-from .partitions import (
-    contains, pad, part, partition, partitions_of, size,
-)
+from .partitions import contains, part, partition, partitions_of, size
 from .lr import _classical_lr
 
 
@@ -39,11 +44,6 @@ class BudgetExceeded(RuntimeError):
     pass
 
 
-class StabilityError(ArithmeticError):
-    """The padded coefficient differs at the stabilization bound N and
-    at N + 1, so the bound or the evaluation is wrong."""
-
-
 def z_order(rho) -> int:
     """Order of the centralizer of a permutation of cycle type rho."""
     z = 1
@@ -55,13 +55,9 @@ def z_order(rho) -> int:
     return z
 
 
-def class_size(rho, n: int) -> int:
-    if size(rho) != n:
-        raise SizeMismatch(f"{rho} is not a cycle type of degree {n}")
-    return factorial(n) // z_order(rho)
-
-
-_char_memo: dict[tuple, int] = {}
+CHAR_CACHE_SIZE = 1 << 16
+KRON_CACHE_SIZE = 1 << 14
+STABLE_CACHE_SIZE = 1024
 
 
 def _beads(lam) -> int:
@@ -84,16 +80,13 @@ def mn_character(lam, rho) -> int:
     return _mn(_beads(lam), rho)
 
 
+@lru_cache(maxsize=CHAR_CACHE_SIZE)
 def _mn(mask, rho) -> int:
     """The character at rho of the partition with bead mask `mask`.  A
     border strip of length r moves one bead from bit b down to an empty
     bit b - r; its sign is the parity of the beads strictly between."""
     if not rho:
         return 1
-    key = (mask, rho)
-    cached = _char_memo.get(key)
-    if cached is not None:
-        return cached
     r = rho[0]
     rest = rho[1:]
     movable = mask & ~(mask << r) & ~((1 << r) - 1)
@@ -110,11 +103,7 @@ def _mn(mask, rho) -> int:
             total -= term
         else:
             total += term
-    _char_memo[key] = total
     return total
-
-
-_kron_memo: dict[tuple, int] = {}
 
 
 def kronecker(lam, nu, mu) -> int:
@@ -130,10 +119,13 @@ def kronecker(lam, nu, mu) -> int:
 
 def _kronecker(lam, nu, mu) -> int:
     """`kronecker` on partition tuples already known to share a size."""
-    key = tuple(sorted((lam, nu, mu)))
-    cached = _kron_memo.get(key)
-    if cached is not None:
-        return cached
+    return _class_sum(*sorted((lam, nu, mu)))
+
+
+@lru_cache(maxsize=KRON_CACHE_SIZE)
+def _class_sum(lam, nu, mu) -> int:
+    """The Kronecker coefficient of a sorted triple, by the class sum
+    of the product of the three characters."""
     n = size(lam)
     a_mask, b_mask, c_mask = _beads(lam), _beads(nu), _beads(mu)
     n_fact = factorial(n)
@@ -152,7 +144,6 @@ def _kronecker(lam, nu, mu) -> int:
     value, rem = divmod(total, n_fact)
     if rem:
         raise NonIntegral(f"non-integral Kronecker sum for {lam}, {nu}, {mu}")
-    _kron_memo[key] = value
     return value
 
 
@@ -162,105 +153,82 @@ class StableResult:
     onset: int
 
 
-_stable_memo: dict[tuple, StableResult] = {}
-
-
 def stable_kronecker_oracle(lam, nu, mu, n_cap=None) -> StableResult:
     """The stable Kronecker coefficient and its reported onset.
 
-    With n0 the least n at which all three paddings are partitions, the
-    value is the padded coefficient at the stabilization bound
-    N = max(n0, min over the three roles of |beta| + |gamma| + alpha_1)
-    (Briand-Orellana-Rosas 2011).  As a self-check it is also computed at
-    N + 1; a difference raises StabilityError.  The onset is
-    max(n0, |lam| + |nu| + |mu|), the first n at or past the triangle
-    threshold where two consecutive padded values agree; it is at least
-    N, so it needs no evaluation.  With n_cap below onset + 1 the call
-    raises BudgetExceeded, so no evaluation goes above n_cap."""
+    The value comes from Littlewood's formula (see the module
+    docstring).  With n0 the least n at which all three paddings are
+    partitions, the onset is max(n0, |lam| + |nu| + |mu|): the first n
+    at or past the triangle threshold where two consecutive padded
+    values agree.  The padded values are constant from the
+    Briand-Orellana-Rosas (2011) bound on, and that bound is at most
+    the onset, so the onset needs no evaluation.  With n_cap below
+    onset + 1 the call raises BudgetExceeded.  n_cap does not bound the
+    work done: no padded coefficient is evaluated, and the cost grows
+    with the sizes of the three partitions instead."""
     lam = partition(lam)
     nu = partition(nu)
     mu = partition(mu)
-    sizes = (size(lam), size(nu), size(mu))
-    total = sum(sizes)
     n0 = max(size(p) + part(p, 1) for p in (lam, nu, mu))
-    onset = max(n0, total)
+    onset = max(n0, size(lam) + size(nu) + size(mu))
     if n_cap is not None and n_cap < onset + 1:
         raise BudgetExceeded(f"no stabilization for ({lam}, {nu}, {mu}) "
                              f"with n up to {n_cap}")
-    key = tuple(sorted((lam, nu, mu)))
-    cached = _stable_memo.get(key)
-    if cached is not None:
-        return cached
-    bound = max(n0, min(total - s + part(p, 1)
-                        for p, s in zip((lam, nu, mu), sizes)))
-    value, check = (kronecker(pad(lam, n), pad(nu, n), pad(mu, n))
-                    for n in (bound, bound + 1))
-    if value != check:
-        raise StabilityError(f"padded values of ({lam}, {nu}, {mu}) differ "
-                             f"at n={bound} ({value}) and n={bound + 1} "
-                             f"({check})")
-    result = StableResult(value, onset)
-    _stable_memo[key] = result
-    return result
+    return StableResult(_littlewood(*sorted((lam, nu, mu))), onset)
 
 
-def p_set(n: int, mu):
-    """All partitions of n obtained from mu by adding a horizontal strip
-    (n - |mu| boxes, no two in one column): beta with
-    beta_1 >= mu_1 >= beta_2 >= mu_2 >= ..."""
-    mu = partition(mu)
-    if n < size(mu):
-        raise ValueError(f"n={n} below |mu|={size(mu)}")
-    out = []
-
-    def rec(i, chosen):
-        if i > len(mu) + 1:
-            first = n - sum(chosen)
-            if first >= max(part(mu, 1), chosen[0] if chosen else 0):
-                out.append(partition([first] + chosen))
-            return
-        for b in range(part(mu, i - 1), part(mu, i) - 1, -1):
-            rec(i + 1, chosen + [b])
-
-    rec(2, [])
-    return out
-
-
-def dvir_step(lam_n, nu_n, mu_n) -> int:
-    """One step of the recursion for the padded coefficient: skew terms
-    over common subshapes of size n - s minus the horizontal-strip
-    correction terms, where s is the size below the first row of mu_n."""
-    lam_n = partition(lam_n)
-    nu_n = partition(nu_n)
-    mu_n = partition(mu_n)
-    n = size(lam_n)
-    if size(nu_n) != n or size(mu_n) != n:
-        raise SizeMismatch("arguments must have equal sizes")
-    mu = partition(mu_n[1:])
-    s = size(mu)
-    inter = tuple(min(part(lam_n, i), part(nu_n, i))
-                  for i in range(1, max(len(lam_n), len(nu_n)) + 1))
-    inter = partition(x for x in inter if x)
-
+@lru_cache(maxsize=STABLE_CACHE_SIZE)
+def _littlewood(lam, mu, nu) -> int:
+    """The stable Kronecker coefficient of a sorted triple by
+    Littlewood's formula.  k fixes the sizes of delta, eps and zeta:
+    2|delta| = |lam| + |mu| - |nu| - k, 2|eps| = |lam| + |nu| - |mu| - k
+    and 2|zeta| = |mu| + |nu| - |lam| - k, so a k for which one of them
+    is negative or odd adds nothing."""
+    a, b, c = size(lam), size(mu), size(nu)
     total = 0
-    small = partitions_of(s)
-    for alpha in partitions_of(n - s):
-        if not contains(alpha, inter):
+    for k in range(min(a, b, c) + 1):
+        twice = (a + b - c - k, a + c - b - k, b + c - a - k)
+        if min(twice) < 0 or twice[0] & 1:  # all three share a parity
             continue
-        # expand both skews into straight shapes of size s; alpha lies in
-        # both shapes and |alpha| + s = n, so the LR checks always pass
-        lam_terms = {tau: _classical_lr(alpha, lam_n, tau) for tau in small}
-        nu_terms = {sig: _classical_lr(alpha, nu_n, sig) for sig in small}
-        for tau, c1 in lam_terms.items():
-            if c1 == 0:
-                continue
-            for sig, c2 in nu_terms.items():
-                if c2 == 0:
-                    continue
-                g = _kronecker(tau, sig, mu)
-                if g:
-                    total += c1 * c2 * g
-    for beta in p_set(n, mu):
-        if beta != mu_n:
-            total -= _kronecker(lam_n, nu_n, beta)
+        d, e, z = (x // 2 for x in twice)
+        by_delta: dict = {}
+        for (beta, delta, zeta), coeff in _expand(mu, k, d, z).items():
+            by_delta.setdefault(delta, []).append((beta, zeta, coeff))
+        by_eps_zeta: dict = {}
+        for (gamma, eps, zeta), coeff in _expand(nu, k, e, z).items():
+            by_eps_zeta.setdefault((eps, zeta), []).append((gamma, coeff))
+        weights: dict = {}
+        for (alpha, delta, eps), c_lam in _expand(lam, k, d, e).items():
+            for beta, zeta, c_mu in by_delta.get(delta, ()):
+                for gamma, c_nu in by_eps_zeta.get((eps, zeta), ()):
+                    key = (alpha, beta, gamma)
+                    weights[key] = weights.get(key, 0) + c_lam * c_mu * c_nu
+        total += sum(w * _kronecker(*key) for key, w in weights.items())
     return total
+
+
+def _expand(shape, k: int, d: int, e: int) -> dict:
+    """{(alpha, delta, eps): c^shape_{alpha delta eps}} over partitions
+    alpha of k, delta of d and eps of e, nonzero entries only, with
+    c^shape_{alpha delta eps} = sum over eta of c^shape_{alpha eta}
+    c^eta_{delta eps}; |shape| = k + d + e."""
+    rows = len(shape)
+    out: dict = {}
+    for alpha in partitions_of(k, rows):
+        if not contains(alpha, shape):
+            continue
+        for eta in partitions_of(d + e, rows):
+            if not contains(eta, shape):
+                continue
+            outer = _classical_lr(alpha, shape, eta)
+            if not outer:
+                continue
+            for delta in partitions_of(d, rows):
+                if not contains(delta, eta):
+                    continue
+                for eps in partitions_of(e, rows):
+                    inner = _classical_lr(delta, eta, eps)
+                    if inner:
+                        key = (alpha, delta, eps)
+                        out[key] = out.get(key, 0) + outer * inner
+    return out

@@ -16,7 +16,9 @@ from stablekron.branching import (
 )
 from stablekron.diagalg import dvir_diagram_check
 from stablekron.lr import classical_lr
-from stablekron.oracle import class_size, kronecker, mn_character, stable_kronecker_oracle
+from stablekron.oracle import (
+    kronecker, mn_character, stable_kronecker_oracle, z_order,
+)
 from stablekron.partitions import (
     contains, is_maximal_depth, partition, partitions_of, partitions_up_to,
     size,
@@ -184,7 +186,7 @@ def test_criterion_9_property_suites():
                  for lam in rhos}
         for lam in rhos:
             for mu in rhos:
-                inner = sum(class_size(rho, n)
+                inner = sum(factorial(n) // z_order(rho)
                             * chars[lam][rho] * chars[mu][rho]
                             for rho in rhos)
                 assert inner == (factorial(n) if lam == mu else 0)

@@ -1,4 +1,11 @@
-"""Tests for the character-theoretic oracle."""
+"""Tests for the character-theoretic oracle.
+
+The references here evaluate padded coefficients: `_scan_oracle` scans
+n for two equal consecutive values, `_padded_oracle` evaluates once at
+the Briand-Orellana-Rosas stabilization bound and checks the value at
+the next n, and `dvir_step` is the one-step recursion for a padded
+coefficient through skew terms and horizontal-strip additions.
+"""
 
 import random
 from functools import lru_cache
@@ -7,10 +14,10 @@ from math import factorial
 import pytest
 
 from stablekron import oracle
+from stablekron.lr import _classical_lr
 from stablekron.oracle import (
-    BudgetExceeded, SizeMismatch, StabilityError, StableResult, class_size,
-    dvir_step, kronecker, mn_character, p_set,
-    stable_kronecker_oracle, z_order,
+    BudgetExceeded, SizeMismatch, StableResult, kronecker, mn_character,
+    stable_kronecker_oracle, z_order, _kronecker,
 )
 from stablekron.partitions import (
     NotAPartition, contains, is_horizontal, pad, part, partition,
@@ -18,8 +25,17 @@ from stablekron.partitions import (
 )
 
 
-def clear_character_memo():
-    oracle._char_memo.clear()
+@pytest.fixture
+def cold_memos():
+    """Empty the oracle's character, Kronecker and stable memos."""
+    for memo in (oracle._mn, oracle._class_sum, oracle._littlewood):
+        memo.cache_clear()
+
+
+def class_size(rho, n: int) -> int:
+    if size(rho) != n:
+        raise SizeMismatch(f"{rho} is not a cycle type of degree {n}")
+    return factorial(n) // z_order(rho)
 
 
 def hook_dimension(lam):
@@ -50,6 +66,95 @@ def _scan_oracle(lam, nu, mu, n_cap=None) -> StableResult:
             return StableResult(val, n - 1)
         prev = val
     raise BudgetExceeded(f"no stabilization with n up to {cap}")
+
+
+class StabilityError(ArithmeticError):
+    """The padded coefficient differs at the stabilization bound N and
+    at N + 1, so the bound or the evaluation is wrong."""
+
+
+def _padded_oracle(lam, nu, mu) -> StableResult:
+    """Reference stable coefficient: the padded coefficient at the
+    stabilization bound N = max(n0, min over the three roles of
+    |beta| + |gamma| + alpha_1) (Briand-Orellana-Rosas 2011), with n0 the
+    least n at which all three paddings are partitions.  It is also
+    computed at N + 1; a difference raises StabilityError.  The onset is
+    max(n0, |lam| + |nu| + |mu|)."""
+    lam, nu, mu = partition(lam), partition(nu), partition(mu)
+    sizes = (size(lam), size(nu), size(mu))
+    total = sum(sizes)
+    n0 = max(size(p) + part(p, 1) for p in (lam, nu, mu))
+    bound = max(n0, min(total - s + part(p, 1)
+                        for p, s in zip((lam, nu, mu), sizes)))
+    value, check = (kronecker(pad(lam, n), pad(nu, n), pad(mu, n))
+                    for n in (bound, bound + 1))
+    if value != check:
+        raise StabilityError(f"padded values of ({lam}, {nu}, {mu}) differ "
+                             f"at n={bound} ({value}) and n={bound + 1} "
+                             f"({check})")
+    return StableResult(value, max(n0, total))
+
+
+def p_set(n: int, mu):
+    """All partitions of n obtained from mu by adding a horizontal strip
+    (n - |mu| boxes, no two in one column): beta with
+    beta_1 >= mu_1 >= beta_2 >= mu_2 >= ..."""
+    mu = partition(mu)
+    if n < size(mu):
+        raise ValueError(f"n={n} below |mu|={size(mu)}")
+    out = []
+
+    def rec(i, chosen):
+        if i > len(mu) + 1:
+            first = n - sum(chosen)
+            if first >= max(part(mu, 1), chosen[0] if chosen else 0):
+                out.append(partition([first] + chosen))
+            return
+        for b in range(part(mu, i - 1), part(mu, i) - 1, -1):
+            rec(i + 1, chosen + [b])
+
+    rec(2, [])
+    return out
+
+
+def dvir_step(lam_n, nu_n, mu_n) -> int:
+    """One step of the recursion for the padded coefficient: skew terms
+    over common subshapes of size n - s minus the horizontal-strip
+    correction terms, where s is the size below the first row of mu_n."""
+    lam_n = partition(lam_n)
+    nu_n = partition(nu_n)
+    mu_n = partition(mu_n)
+    n = size(lam_n)
+    if size(nu_n) != n or size(mu_n) != n:
+        raise SizeMismatch("arguments must have equal sizes")
+    mu = partition(mu_n[1:])
+    s = size(mu)
+    inter = tuple(min(part(lam_n, i), part(nu_n, i))
+                  for i in range(1, max(len(lam_n), len(nu_n)) + 1))
+    inter = partition(x for x in inter if x)
+
+    total = 0
+    small = partitions_of(s)
+    for alpha in partitions_of(n - s):
+        if not contains(alpha, inter):
+            continue
+        # expand both skews into straight shapes of size s; alpha lies in
+        # both shapes and |alpha| + s = n, so the LR checks always pass
+        lam_terms = {tau: _classical_lr(alpha, lam_n, tau) for tau in small}
+        nu_terms = {sig: _classical_lr(alpha, nu_n, sig) for sig in small}
+        for tau, c1 in lam_terms.items():
+            if c1 == 0:
+                continue
+            for sig, c2 in nu_terms.items():
+                if c2 == 0:
+                    continue
+                g = _kronecker(tau, sig, mu)
+                if g:
+                    total += c1 * c2 * g
+    for beta in p_set(n, mu):
+        if beta != mu_n:
+            total -= _kronecker(lam_n, nu_n, beta)
+    return total
 
 
 @lru_cache(maxsize=None)
@@ -129,8 +234,7 @@ class TestCharacters:
         assert mn_character((3, 1), (0, 1, 0, 2, 1)) \
             == mn_character((3, 1), (2, 1, 1)) == 1
 
-    def test_matches_reference_recursion(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_char_memo", {})
+    def test_matches_reference_recursion(self, cold_memos):
         for n in range(0, 11):
             for lam in partitions_of(n):
                 for rho in partitions_of(n):
@@ -142,13 +246,18 @@ class TestCharacters:
         assert oracle._beads((3, 2)) == 0b10100
         assert oracle._beads((1, 1, 1)) == 0b1110
 
-    def test_memo_keys_have_no_empty_rows(self, monkeypatch):
+    def test_memo_keys_have_no_empty_rows(self, monkeypatch, cold_memos):
         # strips that empty whole rows of the padded shapes must not
         # leave beads at the bottom of the abacus: one key per partition
-        monkeypatch.setattr(oracle, "_char_memo", {})
-        monkeypatch.setattr(oracle, "_kron_memo", {})
+        masks = set()
+        memoized = oracle._mn
+
+        def spy(mask, rho):
+            masks.add(mask)
+            return memoized(mask, rho)
+
+        monkeypatch.setattr(oracle, "_mn", spy)
         kronecker(pad((3, 2), 9), pad((3, 2), 9), pad((2, 1), 9))
-        masks = {mask for mask, _ in oracle._char_memo}
         assert masks
         assert all(mask == 0 or not mask & 1 for mask in masks)
 
@@ -165,8 +274,20 @@ class TestCharacters:
 
     def test_memo_can_be_cleared(self):
         assert mn_character((3, 1), (2, 1, 1)) == 1
-        clear_character_memo()
+        oracle._mn.cache_clear()
         assert mn_character((3, 1), (2, 1, 1)) == 1
+
+    def test_overfilled_memo_keeps_values(self, monkeypatch):
+        # a bound far below one character table evicts entries in the
+        # middle of the recursion; the values must not change
+        small = lru_cache(maxsize=16)(oracle._mn.__wrapped__)
+        monkeypatch.setattr(oracle, "_mn", small)
+        for lam in partitions_of(9):
+            for rho in partitions_of(9):
+                assert mn_character(lam, rho) == _reference_mn(lam, rho)
+        info = small.cache_info()
+        assert info.currsize == info.maxsize == 16
+        assert info.misses > 16
 
 
 class TestKronecker:
@@ -212,8 +333,7 @@ class TestStableOracle:
         with pytest.raises(BudgetExceeded):
             stable_kronecker_oracle((3, 2), (4, 1), (2, 2, 1), n_cap=9)
 
-    def test_budget_boundary(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_stable_memo", {})
+    def test_budget_boundary(self, cold_memos):
         triple = ((3, 2), (4, 1), (2, 2, 1))
         onset = 15
         with pytest.raises(BudgetExceeded):
@@ -224,10 +344,9 @@ class TestStableOracle:
         assert result == _scan_oracle(*triple, n_cap=onset + 1)
         assert result.onset == onset
 
-    def test_budget_ignores_the_memo(self, monkeypatch):
+    def test_budget_ignores_the_memo(self, cold_memos):
         # a capped call raises the same way cold and after an uncapped
         # call on the same triple has filled the memo
-        monkeypatch.setattr(oracle, "_stable_memo", {})
         triple = ((3, 2), (4, 1), (2, 2, 1))
         with pytest.raises(BudgetExceeded) as cold:
             stable_kronecker_oracle(*triple, n_cap=9)
@@ -236,13 +355,6 @@ class TestStableOracle:
             stable_kronecker_oracle(*triple, n_cap=9)
         assert str(warm.value) == str(cold.value)
 
-    def test_self_check_raises_on_unstable_values(self, monkeypatch):
-        monkeypatch.setattr(oracle, "_stable_memo", {})
-        monkeypatch.setattr(oracle, "kronecker",
-                            lambda lam, nu, mu: size(lam))
-        with pytest.raises(StabilityError):
-            stable_kronecker_oracle((2, 1), (2, 1), (1,))
-
     def test_matches_scan(self):
         pool = partitions_up_to(4)
         for lam in pool:
@@ -250,6 +362,29 @@ class TestStableOracle:
                 for mu in pool:
                     assert stable_kronecker_oracle(lam, nu, mu) \
                         == _scan_oracle(lam, nu, mu), (lam, nu, mu)
+
+    def test_matches_padded_reference(self):
+        pool = partitions_up_to(5)
+        for lam in pool:
+            for nu in pool:
+                for mu in pool:
+                    assert stable_kronecker_oracle(lam, nu, mu) \
+                        == _padded_oracle(lam, nu, mu), (lam, nu, mu)
+
+    def test_only_small_kronecker_coefficients(self, monkeypatch,
+                                               cold_memos):
+        # Littlewood's formula needs g only at sizes k <= 3 = |(2, 1)|,
+        # where the padded evaluation went up to n = 31
+        sizes = []
+
+        def spy(lam, nu, mu):
+            sizes.append(size(lam))
+            return _kronecker(lam, nu, mu)
+
+        monkeypatch.setattr(oracle, "_kronecker", spy)
+        result = stable_kronecker_oracle((9, 6, 3), (9, 6, 3), (2, 1))
+        assert result == StableResult(60, 39)
+        assert sizes and max(sizes) <= 3
 
 
 class TestHorizontalStripSet:

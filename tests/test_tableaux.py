@@ -15,7 +15,7 @@ from conftest import prefix_lattice
 
 from stablekron.branching import Tableau, enumerate_std0, step_str, swap_adjacent
 from stablekron.lr import (
-    ShapeMismatch, classical_lr, is_lattice_word, ssyt_count, _skew_ssyt,
+    LR_CACHE_SIZE, ShapeMismatch, classical_lr, ssyt_count, _skew_ssyt,
 )
 from stablekron.partitions import (
     contains, intersect, is_copieri, is_horizontal, is_maximal_depth, part,
@@ -332,12 +332,6 @@ class TestLattice:
             for word in product((1, 2, 3, 4), repeat=length):
                 assert is_lattice(word) == prefix_lattice(word)
 
-    def test_lr_lattice_test_agrees(self):
-        # the LR count's own lattice test against the rule's good/bad scan
-        for length in range(8):
-            for word in product((1, 2, 3, 4), repeat=length):
-                assert is_lattice_word(word) == is_lattice(word), word
-
 
 class TestCounts:
     def test_padded_family_counts(self):
@@ -416,7 +410,37 @@ class TestStableKronecker:
                                 == classical_lr(lam, nu, mu)
 
 
+def _reference_lr(lam, nu, mu) -> int:
+    """Reference LR coefficient: every semistandard filling of nu/lam of
+    weight mu, kept when its reverse reading word (rows top to bottom,
+    each right to left) passes the prefix-count lattice test."""
+    return sum(1 for filling in _skew_ssyt(nu, lam, mu)
+               if prefix_lattice([x for row in filling
+                                  for x in reversed(row)]))
+
+
 class TestClassicalCoefficients:
+    def test_lr_matches_reference(self):
+        # equality gate for the lattice-pruned walk: every LR triple
+        # with |nu| <= 8, more of them than its bounded cache holds
+        cases = 0
+        for nn in range(9):
+            for nu in partitions_of(nn):
+                for ln in range(nn + 1):
+                    for lam in partitions_of(ln):
+                        if not contains(lam, nu):
+                            continue
+                        for mu in partitions_of(nn - ln):
+                            assert classical_lr(lam, nu, mu) \
+                                == _reference_lr(lam, nu, mu), (lam, nu, mu)
+                            cases += 1
+        assert cases > LR_CACHE_SIZE
+
+    def test_large_lr_count(self):
+        # 4,3,2,1 inside the staircase of 7: the walk prunes to 12 leaves
+        assert classical_lr((4, 3, 2, 1), (7, 6, 5, 4, 3, 2, 1),
+                            (4, 4, 3, 3, 2, 1, 1)) == 12
+
     def test_lr_examples(self):
         assert classical_lr((4, 2), (5, 3, 1), (2, 1)) == 2
         assert classical_lr((3, 2), (3, 2), ()) == 1

@@ -211,8 +211,31 @@ def dvir_removal_witness(t: Tableau):
 
 
 def enumerate_std0(lam, nu, s: int) -> list[Tableau]:
-    """enumerate_std filtered to paths outside the Dvir radical."""
-    return [t for t in enumerate_std(lam, nu, s) if is_dvir(t) is None]
+    """enumerate_std filtered to paths outside the Dvir radical, in the
+    same order.
+
+    The filter is is_dvir(t) is None in one counting pass per path: a
+    path with a (0, 0) step is dropped, and any other walks its steps
+    down a copy of the row capacities -- the start's parts, then 0 for
+    every row a path of s steps can reach, up to len(lam) + s -- and is
+    dropped at the first row that goes negative.
+    """
+    paths = enumerate_std(lam, nu, s)
+    # index 0 counts the steps that remove nothing, never more than s
+    caps = [s, *partition(lam)] + [0] * s
+    out = []
+    for t in paths:
+        steps = t.steps
+        if (0, 0) in steps:
+            continue
+        left = caps.copy()
+        for i, _ in steps:
+            left[i] -= 1
+            if left[i] < 0:
+                break
+        else:
+            out.append(t)
+    return out
 
 
 def _apply(shape, step: Step):

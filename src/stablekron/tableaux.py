@@ -97,23 +97,30 @@ def _form_classes(std0, mu) -> list[SemistandardClass]:
             if cid is None:
                 cid = len(component)  # fresh: each labelling adds keys
                 seg = Tableau._trusted(start, steps, t.shapes[a:b + 1])
-                for m in _swap_component(seg):
-                    component[m.start, m.steps] = cid
+                for order in _swap_component(seg):
+                    component[start, order] = cid
             ids.append(cid)
         groups.setdefault(tuple(ids), []).append(t)
     return [SemistandardClass(mu, tuple(ms)) for ms in groups.values()]
 
 
-def _swap_component(seg: Tableau) -> set[Tableau]:
-    """The paths reached from seg by valid swaps of adjacent steps."""
-    comp = {seg}
+def _swap_component(seg: Tableau) -> set[tuple]:
+    """The step sequences reached from seg by valid swaps of adjacent
+    steps, all from seg's start.  Each ordering the component reaches
+    is validated and built once: a swap whose exchanged steps the
+    component already holds is skipped before swap_adjacent is called."""
+    comp = {seg.steps}
     queue = [seg]
     while queue:
         cur = queue.pop()
-        for k in range(1, len(cur.steps)):
+        steps = cur.steps
+        for k in range(1, len(steps)):
+            swapped = steps[:k - 1] + (steps[k], steps[k - 1]) + steps[k + 1:]
+            if swapped in comp:
+                continue
             other = swap_adjacent(cur, k)
-            if other is not None and other not in comp:
-                comp.add(other)
+            if other is not None:
+                comp.add(swapped)
                 queue.append(other)
     return comp
 

@@ -5,6 +5,7 @@ import pytest
 
 from conftest import brute_skew_syt_count
 
+from stablekron import branching
 from stablekron.branching import (
     NotAPath, Tableau, add_box, dvir_removal_witness, enumerate_std,
     enumerate_std0, error_path, is_dvir, remove_box, step_key, swap_adjacent,
@@ -195,6 +196,28 @@ class TestRadicalFilters:
         t = Tableau((2, 1), [(0, 0), (0, 1)])
         assert is_dvir(t) == 0
         assert dvir_removal_witness(t) is None
+
+    def test_enumerate_std0_equals_is_dvir_filter(self, monkeypatch):
+        # equality gate for the counting pass: the same paths, in the
+        # same order, as is_dvir over the output of enumerate_std, which
+        # enumerate_std0 still calls once with its own arguments
+        calls = []
+
+        def recorded(*args):
+            calls.append((args, enumerate_std(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(branching, "enumerate_std", recorded)
+        pool = partitions_up_to(4)
+        for lam in pool:
+            for nu in pool:
+                for s in range(7):
+                    got = enumerate_std0(lam, nu, s)
+                    (args, paths), = calls
+                    calls.clear()
+                    assert args == (lam, nu, s)
+                    expected = [t for t in paths if is_dvir(t) is None]
+                    assert _as_lists(got) == _as_lists(expected), (lam, nu, s)
 
     def test_enumerate_std0(self):
         # s below the skew bound: no standard paths at all

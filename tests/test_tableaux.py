@@ -21,6 +21,7 @@ from stablekron.partitions import (
     contains, intersect, is_copieri, is_horizontal, is_maximal_depth, part,
     partial_sum, partition, partitions_of, partitions_up_to, size,
 )
+from stablekron import tableaux
 from stablekron.tableaux import (
     NotApplicable, SemistandardClass, class_counts, count_latticed,
     count_sstd, good_mask, is_lattice, is_semistandard, mu_classes,
@@ -227,6 +228,37 @@ class TestClasses:
                             (lam, nu, mu)
                         cases += 1
         assert cases == 1777
+
+    def test_swaps_validate_only_unseen_orderings(self, monkeypatch):
+        # the swap-BFS calls swap_adjacent only on orderings its component
+        # does not hold yet, so every valid swap reaches a new ordering:
+        # the valid swaps are the orderings reached minus the seeds
+        calls = []
+        seeds = []
+        reached = []
+
+        def counted_swap(t, k):
+            other = swap_adjacent(t, k)
+            calls.append(None if other is None else (other.start, other.steps))
+            return other
+
+        def recorded_component(seg):
+            comp = swap_component(seg)
+            seeds.append((seg.start, seg.steps))
+            reached.extend((seg.start, order) for order in comp)
+            return comp
+
+        swap_component = tableaux._swap_component
+        monkeypatch.setattr(tableaux, "swap_adjacent", counted_swap)
+        monkeypatch.setattr(tableaux, "_swap_component", recorded_component)
+        # maximal depth: every path is outside the radical
+        classes = mu_classes((3, 1), (6, 4, 2), (5, 3))
+        valid = [c for c in calls if c is not None]
+        assert len(classes) == 7
+        assert len(set(reached)) == len(reached)
+        assert len(valid) == len(reached) - len(seeds) > 0
+        assert set(valid) == set(reached) - set(seeds)
+        assert len(calls) > len(valid)
 
     def test_valid_swaps_stay_non_radical(self):
         # a swap keeps the multiset of steps, so the radical filter

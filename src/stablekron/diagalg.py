@@ -4,8 +4,9 @@ A diagram is a set-partition of 2r points (southern row coded 1..r,
 northern row r+1..2r, printed with a trailing apostrophe).  The product
 stacks the left factor over the right, identifies the middle row, and
 multiplies by n for every component left entirely in the middle.
-Algebra elements carry integer-polynomial-in-n coefficients, so every
-identity checked here holds for all n simultaneously.
+An algebra element maps each pair (diagram d, power e) to the nonzero
+integer coefficient of n^e·d, so every identity checked here holds for
+all n simultaneously.
 
 A diagram is stored as its labels: the block number of each point 1..2r
 in turn, blocks numbered from 0 in order of their least point, so equal
@@ -35,64 +36,6 @@ class SwapUndefined(ValueError):
 
 class NotDvir(ValueError):
     pass
-
-
-# -- integer polynomials in n: tuples of coefficients, ascending degree ------
-
-POLY_ZERO: tuple[int, ...] = ()
-POLY_ONE: tuple[int, ...] = (1,)
-
-
-def poly(c: int) -> tuple[int, ...]:
-    return (c,) if c else ()
-
-
-def _trim(a):
-    a = list(a)
-    while a and a[-1] == 0:
-        a.pop()
-    return tuple(a)
-
-
-def poly_add(a, b):
-    n = max(len(a), len(b))
-    return _trim(tuple((a[i] if i < len(a) else 0) + (b[i] if i < len(b) else 0)
-                       for i in range(n)))
-
-
-def poly_mul(a, b):
-    if not a or not b:
-        return POLY_ZERO
-    out = [0] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        for j, y in enumerate(b):
-            out[i + j] += x * y
-    return _trim(out)
-
-
-def poly_shift(a, t: int):
-    """Multiply by n**t."""
-    return (0,) * t + tuple(a) if a else POLY_ZERO
-
-
-def poly_str(a) -> str:
-    if not a:
-        return "0"
-    terms = []
-    for i, c in enumerate(a):
-        if c == 0:
-            continue
-        if i == 0:
-            terms.append(str(c))
-        else:
-            mono = "n" if i == 1 else f"n^{i}"
-            if c == 1:
-                terms.append(mono)
-            elif c == -1:
-                terms.append(f"-{mono}")
-            else:
-                terms.append(f"{c}*{mono}")
-    return " + ".join(terms).replace("+ -", "- ")
 
 
 # -- diagrams ----------------------------------------------------------------
@@ -191,17 +134,18 @@ def multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
 
 
 class Element:
-    """A finite integer-polynomial combination of diagrams of one rank."""
+    """A finite integer combination of the terms n^e·d, for diagrams d of
+    one rank, stored as {(d, e): coefficient}."""
 
     __slots__ = ("r", "terms")
 
     def __init__(self, r: int, terms=None):
         self.r = r
-        self.terms = {d: c for d, c in (terms or {}).items() if c}
+        self.terms = {de: c for de, c in (terms or {}).items() if c}
 
     @classmethod
-    def from_diagram(cls, d: Diagram, coeff=POLY_ONE) -> "Element":
-        return cls(d.r, {d: tuple(coeff)})
+    def from_diagram(cls, d: Diagram) -> "Element":
+        return cls(d.r, {(d, 0): 1})
 
     @classmethod
     def one(cls, r: int) -> "Element":
@@ -218,28 +162,26 @@ class Element:
     def __add__(self, other):
         self._check(other)
         terms = dict(self.terms)
-        for d, c in other.terms.items():
-            terms[d] = poly_add(terms.get(d, POLY_ZERO), c)
+        for de, c in other.terms.items():
+            terms[de] = terms.get(de, 0) + c
         return Element(self.r, terms)
 
     def __neg__(self):
-        return Element(self.r, {d: tuple(-x for x in c)
-                                for d, c in self.terms.items()})
+        return Element(self.r, {de: -c for de, c in self.terms.items()})
 
     def __sub__(self, other):
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return Element(self.r, {d: poly_mul(c, poly(other))
-                                    for d, c in self.terms.items()})
+            return Element(self.r, {de: c * other for de, c in self.terms.items()})
         self._check(other)
-        terms: dict[Diagram, tuple[int, ...]] = {}
-        for d1, c1 in self.terms.items():
-            for d2, c2 in other.terms.items():
+        terms: dict[tuple[Diagram, int], int] = {}
+        for (d1, e1), c1 in self.terms.items():
+            for (d2, e2), c2 in other.terms.items():
                 prod, loops = multiply(d1, d2)
-                coeff = poly_shift(poly_mul(c1, c2), loops)
-                terms[prod] = poly_add(terms.get(prod, POLY_ZERO), coeff)
+                key = prod, e1 + e2 + loops
+                terms[key] = terms.get(key, 0) + c1 * c2
         return Element(self.r, terms)
 
     def __rmul__(self, other):
@@ -250,13 +192,6 @@ class Element:
     def __eq__(self, other):
         return (isinstance(other, Element)
                 and self.r == other.r and self.terms == other.terms)
-
-    def __str__(self):
-        if not self.terms:
-            return "0"
-        lines = [f"({poly_str(c)}) * {d}" for d, c in
-                 sorted(self.terms.items(), key=lambda kv: kv[0].blocks)]
-        return "\n".join(lines)
 
     def __repr__(self):
         return f"Element({self.r}, {len(self.terms)} terms)"
@@ -447,6 +382,8 @@ def maximal_path(nu, r: int) -> Tableau:
     """The path from the empty partition staying empty for r - |nu|
     steps and then filling nu row by row."""
     nu = partition(nu)
+    if r < size(nu):
+        raise ValueError(f"no path of {r} steps reaches {nu}")
     steps = [(0, 0)] * (r - size(nu))
     for row, count in enumerate(nu, start=1):
         steps += [(0, row)] * count
@@ -467,8 +404,7 @@ def dvir_diagram_check(lam, nu, s: int, t: Tableau) -> bool:
     prefix = maximal_path(lam, r - s)
     full = Tableau((), prefix.steps + t.steps)
     u = murphy_u(full, r)
-    for d in u.terms:
-        labels = d.labels
+    for labels in {d.labels for d, _ in u.terms}:
         if len(set(labels[r - s:r]) & set(labels[:r - s] + labels[r:])) > s - 1:
             return False
     return True

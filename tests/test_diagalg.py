@@ -1,8 +1,7 @@
 """Tests for exact arithmetic in the diagram algebra.
 
-The descending Murphy element, the symmetrizer, the star flip and the
-evaluation of a coefficient at one n live here, beside the only
-identities that use them.
+The descending Murphy element, the symmetrizer and the star flip live
+here, beside the only identities that use them.
 """
 
 import random
@@ -16,15 +15,10 @@ from stablekron.branching import Tableau, enumerate_std, error_path, is_dvir, sw
 from stablekron.diagalg import (
     Diagram, Element, NotDvir, RankMismatch, branching_coeff,
     dvir_diagram_check, e_int,
-    gen_p, gen_p_half, gen_s, maximal_path, multiply, murphy_u,
-    poly, poly_add, poly_mul, poly_shift, poly_str, s_range,
-    verify_thm33, POLY_ZERO,
+    gen_p, gen_p_half, gen_s, maximal_path, multiply, murphy_u, s_range,
+    verify_thm33,
 )
 from stablekron.partitions import partition, partitions_up_to, size
-
-
-def poly_eval(a, n: int) -> int:
-    return sum(c * n ** i for i, c in enumerate(a))
 
 
 def diagram_star(d: Diagram) -> Diagram:
@@ -35,7 +29,8 @@ def diagram_star(d: Diagram) -> Diagram:
 
 def element_star(u: Element) -> Element:
     """Flip top and bottom rows of every diagram of u."""
-    return Element(u.r, {diagram_star(d): c for d, c in u.terms.items()})
+    return Element(u.r, {(diagram_star(d), e): c
+                         for (d, e), c in u.terms.items()})
 
 
 def murphy_d(t, r):
@@ -65,21 +60,6 @@ def x_element(nu, r: int) -> Element:
         d = Diagram(r, [(j, r + image[j]) for j in range(1, r + 1)])
         young = young + Element.from_diagram(d)
     return e_int(r, r - size(nu), r) * young
-
-
-class TestPolynomials:
-    def test_arithmetic(self):
-        assert poly_add((1, 2), (0, -2, 3)) == (1, 0, 3)
-        assert poly_add((1,), (-1,)) == POLY_ZERO
-        assert poly_mul((1, 1), (1, 1)) == (1, 2, 1)
-        assert poly_mul(POLY_ZERO, (5,)) == POLY_ZERO
-        assert poly_shift((2, 1), 2) == (0, 0, 2, 1)
-        assert poly_eval((1, 2, 1), 3) == 16
-        assert poly(0) == POLY_ZERO and poly(4) == (4,)
-
-    def test_printing(self):
-        assert poly_str(POLY_ZERO) == "0"
-        assert poly_str((1, -1, 2)) == "1 - n + 2*n^2"
 
 
 def random_diagram(rng, r):
@@ -235,6 +215,16 @@ class TestElements:
         assert 3 * p == p * 3
         assert (p - p) == Element.zero(2)
 
+    def test_one_diagram_at_two_powers_is_two_terms(self):
+        p = Element.from_diagram(gen_p(1, 1))
+        assert (p * p - p).terms == {(gen_p(1, 1), 1): 1, (gen_p(1, 1), 0): -1}
+        assert p * p - p * p == Element.zero(1)
+
+    def test_integer_scaling(self):
+        p = Element.from_diagram(gen_p(1, 2))
+        assert 0 * p == Element.zero(2)
+        assert (3 * p).terms == {(gen_p(1, 2), 0): 3}
+
     def test_star_reverses_products(self):
         rng = random.Random(5)
         for r in (2, 3):
@@ -246,7 +236,7 @@ class TestElements:
     def test_loop_coefficient_is_polynomial(self):
         p = Element.from_diagram(gen_p(1, 1))
         sq = p * p
-        assert sq.terms == {gen_p(1, 1): (0, 1)}  # n * p
+        assert sq.terms == {(gen_p(1, 1), 1): 1}  # n * p
 
 
 class TestConventions:
@@ -362,7 +352,7 @@ class TestMurphyElements:
             for nu in partitions_up_to(r):
                 for t in enumerate_std((), nu, r):
                     u = murphy_u(t, r)
-                    for d in u.terms:
+                    for d, _ in u.terms:
                         for pt in range(r + size(nu) + 1, 2 * r + 1):
                             assert (pt,) in d.blocks, (t, d)
 
@@ -377,8 +367,8 @@ class TestMurphyElements:
                 for t in paths:
                     el = murphy_d(s, r) * murphy_u(t, r)
                     vec = {}
-                    for d, c in el.terms.items():
-                        vec[str(d)] = poly_eval(c, n)
+                    for (d, e), c in el.terms.items():
+                        vec[str(d)] = vec.get(str(d), 0) + c * n ** e
                     vectors.append(vec)
         assert len(vectors) == 15
         keys = sorted({k for v in vectors for k in v})
@@ -423,13 +413,21 @@ class TestRadicalDiagrams:
         full = Tableau((), maximal_path((2, 1), 3).steps
                        + self.RADICAL_PATH.steps)
         u = murphy_u(full, 6)
-        expansion = {str(d): c for d, c in u.terms.items()}
+        expansion = {(str(d), e): c for (d, e), c in u.terms.items()}
         assert expansion == {
-            "{1,1'}{2,2'}{3,4,6}{5,3'}{4'}{5'}{6'}": (1,),
-            "{1,1'}{2,2'}{3,4,3'}{5,6}{4'}{5'}{6'}": (1,),
-            "{1,2'}{2,1'}{3,4,6}{5,3'}{4'}{5'}{6'}": (1,),
-            "{1,2'}{2,1'}{3,4,3'}{5,6}{4'}{5'}{6'}": (1,),
+            ("{1,1'}{2,2'}{3,4,6}{5,3'}{4'}{5'}{6'}", 0): 1,
+            ("{1,1'}{2,2'}{3,4,3'}{5,6}{4'}{5'}{6'}", 0): 1,
+            ("{1,2'}{2,1'}{3,4,6}{5,3'}{4'}{5'}{6'}", 0): 1,
+            ("{1,2'}{2,1'}{3,4,3'}{5,6}{4'}{5'}{6'}", 0): 1,
         }
+
+    def test_maximal_path(self):
+        assert maximal_path((2, 1), 5).steps == (
+            ((0, 0),) * 2 + ((0, 1),) * 2 + ((0, 2),))
+        assert maximal_path((2, 1), 3).shapes[-1] == (2, 1)
+        for r in (0, 1, 2):
+            with pytest.raises(ValueError):
+                maximal_path((2, 1), r)
 
     def test_displayed_path_passes(self):
         assert is_dvir(self.RADICAL_PATH) == 2
@@ -454,5 +452,5 @@ class TestRadicalDiagrams:
             for k, st in enumerate(full.steps, start=1):
                 if st != (0, 0):
                     continue
-                for d in u.terms:
+                for d, _ in u.terms:
                     assert (k,) in d.blocks

@@ -3,8 +3,8 @@ character-theoretic and partition-algebra verification."""
 
 from .partitions import (
     NotAPartition, Undefined, composition, intersect, is_copieri,
-    is_horizontal, is_maximal_depth, minmax, pad, parse_partition,
-    partial_sum, partition, partitions_of, skew_diff_sizes,
+    in_bounds, is_horizontal, is_maximal_depth, minmax, pad,
+    parse_partition, partial_sum, partition, partitions_of, skew_diff_sizes,
 )
 from .branching import (
     NotAPath, Tableau, dvir_removal_witness, enumerate_std,
@@ -13,8 +13,8 @@ from .branching import (
 )
 from .lr import ShapeMismatch, classical_lr, ssyt_count
 from .tableaux import (
-    NotApplicable, SemistandardClass, count_latticed, count_sstd,
-    is_lattice, is_semistandard, mu_classes, reading_word,
+    NotApplicable, SemistandardClass, class_flags, count_latticed,
+    count_sstd, is_lattice, is_semistandard, mu_classes, reading_word,
     stable_kronecker,
 )
 from .oracle import (

@@ -9,7 +9,7 @@ intermediate shapes are partitions.
 
 from __future__ import annotations
 
-from .partitions import part, partition, size
+from .partitions import part, partition, skew_diff_sizes
 
 Step = tuple[int, int]
 
@@ -63,6 +63,13 @@ def add_box(shape, j: int):
     return tuple(new)
 
 
+def _apply(shape, step: Step):
+    """The shape after one integral step, or None if either half-step
+    leaves the partitions."""
+    half = remove_box(shape, step[0])
+    return None if half is None else add_box(half, step[1])
+
+
 class Tableau:
     """A path in the branching graph: start shape plus integral steps.
 
@@ -76,14 +83,10 @@ class Tableau:
         self.start = partition(start)
         self.steps = tuple((int(i), int(j)) for i, j in steps)
         shapes = [self.start]
-        cur = self.start
-        for i, j in self.steps:
-            half = remove_box(cur, i)
-            if half is None:
-                raise NotAPath(f"cannot remove a box in row {i} of {cur}")
-            cur = add_box(half, j)
+        for st in self.steps:
+            cur = _apply(shapes[-1], st)
             if cur is None:
-                raise NotAPath(f"cannot add a box in row {j} of {half}")
+                raise NotAPath(f"cannot step {step_str(st)} from {shapes[-1]}")
             shapes.append(cur)
         self.shapes = tuple(shapes)
 
@@ -137,7 +140,6 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
         raise ValueError("s must be non-negative")
     lam = partition(lam)
     nu = partition(nu)
-    size_nu = size(nu)
     out: list[Tableau] = []
     dist: dict[tuple, int] = {}
     live: dict[tuple, list] = {}
@@ -145,8 +147,7 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
     def distance(shape):
         d = dist.get(shape)
         if d is None:
-            inter = sum(map(min, shape, nu))
-            d = dist[shape] = max(size(shape) - inter, size_nu - inter)
+            d = dist[shape] = max(skew_diff_sizes(shape, nu))
         return d
 
     def live_moves(shape, remaining):
@@ -236,13 +237,6 @@ def enumerate_std0(lam, nu, s: int) -> list[Tableau]:
         else:
             out.append(t)
     return out
-
-
-def _apply(shape, step: Step):
-    """The shape after one integral step, or None if either half-step
-    leaves the partitions."""
-    half = remove_box(shape, step[0])
-    return None if half is None else add_box(half, step[1])
 
 
 def swap_adjacent(t: Tableau, k: int):

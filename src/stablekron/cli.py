@@ -125,15 +125,14 @@ def cmd_tableaux(lam, nu, mu, emit, verbose):
     sstd = latt = 0
     for cls in classes:
         steps, frames = tableaux.reading_word(cls)
-        semi = tableaux.is_semistandard(cls)
-        lattice = semi and tableaux.is_lattice(frames)
+        semi, lattice = tableaux.class_flags(cls)
         sstd += semi
         latt += lattice
         entries.append({
             "word_steps": [branching.step_str(st) for st in steps],
             "word_frames": list(frames),
-            "semistandard": bool(semi),
-            "lattice": bool(lattice),
+            "semistandard": semi,
+            "lattice": lattice,
             "size": len(cls),
         })
     record = _triple_record(lam, nu, mu)
@@ -160,12 +159,10 @@ def cmd_tableaux(lam, nu, mu, emit, verbose):
 def cmd_classify(lam, nu, mu, emit):
     """Report which counting regimes cover the triple LAM, NU, MU."""
     lam, nu, mu = _parse(lam), _parse(nu), _parse(mu)
-    s = partitions.size(mu)
     a, b = partitions.skew_diff_sizes(lam, nu)
     record = _triple_record(lam, nu, mu)
     record.update({
-        "bounds_ok": bool(max(a, b) <= s <= partitions.size(lam)
-                          + partitions.size(nu)),
+        "bounds_ok": partitions.in_bounds(lam, nu, partitions.size(mu)),
         "skew_sizes": [a, b],
     })
     lines = [f"copieri: {record['copieri']}",

@@ -396,8 +396,8 @@ def dvir_diagram_check(lam, nu, s: int, t: Tableau) -> bool:
     diagram has at most s - 1 blocks joining a southern point above
     r - s to a northern point or a southern point at most r - s."""
     lam = partition(lam)
-    if t.start != lam:
-        raise ValueError(f"path starts at {t.start}, not {lam}")
+    if t.start != lam or t.end != partition(nu) or len(t.steps) != s:
+        raise ValueError(f"{t} is not a path from {lam} to {nu} in {s} steps")
     if is_dvir(t) is None:
         raise NotDvir(f"{t} is not in the radical")
     r = size(lam) + s

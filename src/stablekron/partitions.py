@@ -98,8 +98,14 @@ def contains(inner, outer) -> bool:
 
 def skew_diff_sizes(lam, nu) -> tuple[int, int]:
     """Sizes of lam minus (lam ∩ nu) and nu minus (lam ∩ nu)."""
-    inter = size(intersect(lam, nu))
+    inter = sum(map(min, lam, nu))
     return (size(lam) - inter, size(nu) - inter)
+
+
+def in_bounds(lam, nu, s: int) -> bool:
+    """True iff max(skew_diff_sizes(lam, nu)) <= s <= |lam| + |nu|, the
+    range of s outside which the stable coefficient is 0."""
+    return max(skew_diff_sizes(lam, nu)) <= s <= size(lam) + size(nu)
 
 
 def is_horizontal(outer, inner) -> bool:

@@ -18,10 +18,11 @@ is swapped through once per weight instead of every whole path.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from .partitions import (
-    composition, is_copieri, is_maximal_depth, partial_sum, partition,
-    partitions_of, size, skew_diff_sizes,
+    composition, in_bounds, is_copieri, is_maximal_depth, partition,
+    partitions_of, size,
 )
 from .branching import Tableau, enumerate_std0, step_key, swap_adjacent
 # the benchmark's maximal-depth reference reads tableaux.classical_lr
@@ -39,33 +40,13 @@ class SemistandardClass:
     weight: tuple[int, ...]
     members: tuple[Tableau, ...]
 
-    @property
-    def start(self):
-        return self.members[0].start
-
-    @property
-    def end(self):
-        return self.members[0].end
-
     def boundary_shapes(self):
         """The common shapes at the frame boundaries [mu]_0, [mu]_1, ..."""
-        rep = self.members[0]
-        bounds = [partial_sum(self.weight, c)
-                  for c in range(len(self.weight) + 1)]
-        return tuple(rep.shapes[b] for b in bounds)
+        shapes = self.members[0].shapes
+        return tuple(shapes[b] for b in accumulate(self.weight, initial=0))
 
     def __len__(self):
         return len(self.members)
-
-
-def frame_of(mu, k: int) -> int:
-    """The frame (1-indexed) containing step k under weight mu."""
-    total = 0
-    for c, m in enumerate(mu, start=1):
-        total += m
-        if k <= total:
-            return c
-    raise IndexError(f"step {k} beyond weight {mu}")
 
 
 def mu_classes(lam, nu, mu) -> list[SemistandardClass]:
@@ -85,7 +66,7 @@ def _form_classes(std0, mu) -> list[SemistandardClass]:
     sighting, and every ordering it reaches gets one component id; a
     path's class is the tuple of its frames' ids.
     """
-    cuts = [partial_sum(mu, c) for c in range(len(mu) + 1)]
+    cuts = list(accumulate(mu, initial=0))
     frames = list(zip(cuts, cuts[1:]))
     component: dict[tuple, int] = {}
     groups: dict[tuple, list] = {}
@@ -147,12 +128,11 @@ def _horizontal_over_meet(x, y) -> bool:
 
 
 def reading_word(cls: SemistandardClass):
-    """The 2 x s array (steps, frames): columns sorted by the step order,
-    ties broken by frame descending.  Class-invariant."""
-    rep = cls.members[0]
-    cols = [(st, frame_of(cls.weight, k))
-            for k, st in enumerate(rep.steps, start=1)]
-    cols.sort(key=lambda col: (step_key(col[0]), -col[1]))
+    """The 2 x s array (steps, frames), columns sorted by the step order,
+    ties broken by frame descending; a zero part frames no step."""
+    frames = [c for c, m in enumerate(cls.weight, start=1) for _ in range(m)]
+    cols = sorted(zip(cls.members[0].steps, frames, strict=True),
+                  key=lambda col: (step_key(col[0]), -col[1]))
     return tuple(c[0] for c in cols), tuple(c[1] for c in cols)
 
 
@@ -174,9 +154,16 @@ def is_lattice(word) -> bool:
     return all(good_mask(word))
 
 
+def class_flags(cls: SemistandardClass) -> tuple[bool, bool]:
+    """(semistandard, counted): a class is counted when it is
+    semistandard and its reading word's frame row is a lattice word."""
+    semi = is_semistandard(cls)
+    return semi, semi and is_lattice(reading_word(cls)[1])
+
+
 def count_sstd(lam, nu, mu) -> int:
     """Number of semistandard classes of weight mu."""
-    return sum(1 for c in mu_classes(lam, nu, mu) if is_semistandard(c))
+    return _tally(mu_classes(lam, nu, mu))[0]
 
 
 def count_latticed(lam, nu, mu) -> int:
@@ -193,13 +180,9 @@ def class_counts(lam, nu, s: int) -> dict:
 
 
 def _tally(classes) -> tuple[int, int]:
-    """(semistandard classes, of which latticed) among classes."""
-    sstd = latt = 0
-    for c in classes:
-        if is_semistandard(c):
-            sstd += 1
-            latt += is_lattice(reading_word(c)[1])
-    return sstd, latt
+    """(semistandard classes, of which counted) among classes."""
+    flags = [class_flags(c) for c in classes]
+    return sum(f[0] for f in flags), sum(f[1] for f in flags)
 
 
 def stable_kronecker(lam, nu, mu) -> int:
@@ -213,8 +196,7 @@ def stable_kronecker(lam, nu, mu) -> int:
     if not (is_maximal_depth(lam, nu, s) or is_copieri(lam, nu, s)):
         raise NotApplicable(f"({lam}, {nu}, s={s}) is neither co-Pieri "
                             "nor of maximal depth")
-    a, b = skew_diff_sizes(lam, nu)
-    if not max(a, b) <= s <= size(lam) + size(nu):
+    if not in_bounds(lam, nu, s):
         return 0
     return count_latticed(lam, nu, mu)
 

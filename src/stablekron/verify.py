@@ -68,14 +68,12 @@ def counting_sweep(max_size: int, max_s: int, n_cap=None):
     parts = partitions.partitions_up_to(max_size)
     for lam in parts:
         for nu in parts:
-            a, b = partitions.skew_diff_sizes(lam, nu)
             for s in range(max_s + 1):
                 copieri = partitions.is_copieri(lam, nu, s)
                 equivalence = (
                     s <= max_size
                     and (copieri or partitions.is_maximal_depth(lam, nu, s))
-                    and max(a, b) <= s <= (partitions.size(lam)
-                                           + partitions.size(nu)))
+                    and partitions.in_bounds(lam, nu, s))
                 decomposition = copieri and s >= 1
                 if not (equivalence or decomposition):
                     continue

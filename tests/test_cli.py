@@ -74,6 +74,17 @@ class TestTableaux:
             assert entry["size"] == 2
         assert sum(e["lattice"] for e in classes) == 2
 
+    def test_class_flags_sum_to_header_counts(self):
+        for args in (("4,2", "5,3,1", "2,1"), ("3,1", "6,4,2", "5,3"),
+                     ("4", "5", "3,2")):
+            record = json.loads(
+                run_ok("tableaux", *args, "--emit", "json").output)
+            classes = record["classes"]
+            assert str(sum(e["semistandard"] for e in classes)) \
+                == record["sstd"]
+            assert str(sum(e["lattice"] for e in classes)) == record["latt"]
+            assert all(e["semistandard"] for e in classes if e["lattice"])
+
     def test_empty_below_skew_bound(self):
         result = run_ok("tableaux", "4,2", "5,3,1", "1", "--emit", "json")
         assert json.loads(result.output)["classes"] == []

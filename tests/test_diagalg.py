@@ -13,7 +13,7 @@ import pytest
 from stablekron import diagalg
 from stablekron.branching import Tableau, enumerate_std, error_path, is_dvir, swap_adjacent
 from stablekron.diagalg import (
-    Diagram, Element, NotDvir, RankMismatch, branching_coeff,
+    Diagram, Element, NotDvir, RankMismatch, SwapUndefined, branching_coeff,
     dvir_diagram_check, e_int,
     gen_p, gen_p_half, gen_s, maximal_path, multiply, murphy_u, s_range,
     verify_thm33,
@@ -403,9 +403,19 @@ class TestSwapIdentity:
         assert error_path(t, 2) is not None
         assert verify_thm33(t, 2, 3)
 
+    def test_undefined_swap_raises(self):
+        # from the empty partition a box in row 2 cannot come first
+        t = Tableau((), [(0, 1), (0, 2)])
+        assert swap_adjacent(t, 1) is None
+        with pytest.raises(SwapUndefined):
+            verify_thm33(t, 1)
+
 
 class TestRadicalDiagrams:
     RADICAL_PATH = Tableau((2, 1), [(2, 2), (0, 2), (2, 0)])
+    # radical (it removes two boxes from row 1 of (1,)); it ends at ()
+    # after 3 steps
+    SHORT_RADICAL_PATH = Tableau((1,), [(1, 0), (0, 1), (1, 0)])
 
     def test_displayed_expansion(self):
         # the composed Murphy element of the displayed radical path
@@ -432,6 +442,18 @@ class TestRadicalDiagrams:
     def test_displayed_path_passes(self):
         assert is_dvir(self.RADICAL_PATH) == 2
         assert dvir_diagram_check((2, 1), (2, 1), 3, self.RADICAL_PATH)
+
+    def test_wrong_end_rejected(self):
+        t = self.SHORT_RADICAL_PATH
+        assert is_dvir(t) == 1
+        assert dvir_diagram_check((1,), (), 3, t)
+        with pytest.raises(ValueError, match="is not a path"):
+            dvir_diagram_check((1,), (4, 4), 3, t)
+
+    def test_wrong_step_count_rejected(self):
+        for s in (1, 2, 4, 5):
+            with pytest.raises(ValueError, match="is not a path"):
+                dvir_diagram_check((1,), (), s, self.SHORT_RADICAL_PATH)
 
     def test_not_dvir_rejected(self):
         t = Tableau((2, 1), [(0, 1), (1, 0)])

@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, strategies as st
 
 from stablekron.partitions import (
-    NotAPartition, Undefined, contains, format_partition,
+    NotAPartition, Undefined, contains, format_partition, in_bounds,
     intersect, is_copieri, is_horizontal, is_maximal_depth, minmax, pad,
     parse_partition, part, partial_sum, partition, partitions_of,
     partitions_up_to, size, skew_diff_sizes,
@@ -98,6 +98,15 @@ class TestSkewHelpers:
         assert intersect((4, 2), (3, 3)) == (3, 2)
         assert skew_diff_sizes((4, 2), (3, 3)) == (1, 1)
         assert skew_diff_sizes((2, 1), (2, 1)) == (0, 0)
+
+    @given(partitions_strategy, partitions_strategy)
+    def test_skew_sizes_and_bounds_by_intersection(self, lam, nu):
+        inter = size(intersect(lam, nu))
+        a, b = size(lam) - inter, size(nu) - inter
+        assert skew_diff_sizes(lam, nu) == (a, b)
+        for s in range(size(lam) + size(nu) + 2):
+            assert in_bounds(lam, nu, s) == (max(a, b) <= s
+                                             <= size(lam) + size(nu))
 
     def test_contains(self):
         assert contains((2, 1), (3, 1))

@@ -5,15 +5,18 @@ The raising tree proves the decomposition of semistandard counts into
 latticed ones; no computation uses it, so it lives here with its tests.
 """
 
+from bisect import bisect_left
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import accumulate, combinations, product
 
 import pytest
 
 from conftest import prefix_lattice
 
-from stablekron.branching import Tableau, enumerate_std0, step_str, swap_adjacent
+from stablekron.branching import (
+    Tableau, enumerate_std0, step_key, step_str, swap_adjacent,
+)
 from stablekron.lr import (
     LR_CACHE_SIZE, ShapeMismatch, classical_lr, ssyt_count, _skew_ssyt,
 )
@@ -322,6 +325,35 @@ class TestSemistandard:
 
 
 class TestReadingWords:
+    def test_zero_part_weights_frame_by_cumulative_sums(self):
+        # a zero part is an empty frame: it labels no step of the reading
+        # word and repeats a boundary shape.  Step k lies in the first
+        # frame whose cumulative sum reaches k.  (Trailing zeros are
+        # stripped from the weight, so the last part is positive here.)
+        weights = [mu for s in range(1, 5) for n in range(2, 5)
+                   for mu in product(range(s + 1), repeat=n)
+                   if sum(mu) == s and 0 in mu and mu[-1] > 0]
+        assert len(weights) == 54
+        pool = partitions_up_to(3)
+        cases = 0
+        for lam in pool:
+            for nu in pool:
+                for mu in weights:
+                    cum = list(accumulate(mu))
+                    frame = [bisect_left(cum, k) + 1
+                             for k in range(1, cum[-1] + 1)]
+                    for cls in mu_classes(lam, nu, mu):
+                        assert cls.weight == mu
+                        rep = cls.members[0]
+                        cols = sorted(zip(rep.steps, frame), key=lambda col:
+                                      (step_key(col[0]), -col[1]))
+                        assert reading_word(cls)[1] \
+                            == tuple(f for _, f in cols)
+                        assert cls.boundary_shapes() \
+                            == tuple(rep.shapes[c] for c in (0, *cum))
+                        cases += 1
+        assert cases == 12675
+
     def test_intro_word(self):
         classes = mu_classes((2, 1), (3, 3, 2), (2, 2, 1))
         steps, frames = reading_word(classes[0])

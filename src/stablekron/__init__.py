@@ -2,9 +2,9 @@
 character-theoretic and partition-algebra verification."""
 
 from .partitions import (
-    NotAPartition, Undefined, composition, intersect, is_copieri,
-    in_bounds, is_horizontal, is_maximal_depth, minmax, pad,
-    parse_partition, partial_sum, partition, partitions_of, skew_diff_sizes,
+    NotAPartition, Undefined, composition, is_copieri, in_bounds,
+    is_maximal_depth, minmax, parse_partition, partial_sum, partition,
+    partitions_of, skew_diff_sizes,
 )
 from .branching import (
     NotAPath, Tableau, dvir_removal_witness, enumerate_std,

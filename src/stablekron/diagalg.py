@@ -11,7 +11,9 @@ all n simultaneously.
 A diagram is stored as its labels: the block number of each point 1..2r
 in turn, blocks numbered from 0 in order of their least point, so equal
 set-partitions have equal label tuples.  A product is one union-find
-over the block labels of its two factors.  The factors of the branching
+over the block labels of its two factors.  On the right, a
+transposition s_k only transposes the labels of southern points k and
+k+1 (Element.times_s).  The factors of the branching
 coefficients (e_int, e_half, s_range, m_sum) and the partial products
 of Murphy elements are built once per argument tuple through bounded
 LRU caches (FACTOR_CACHE_SIZE, MURPHY_CACHE_SIZE); the public functions
@@ -112,9 +114,11 @@ def multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
     A union-find over the block labels, y's first and x's after them,
     joins y's northern point m with x's southern point m; each label
     points at its component, and a merge repoints the members of one.
-    The outer points, y's southern then x's northern, take the
-    components' labels by first appearance, and every component that
-    no outer point reaches is a loop."""
+    The outer points, y's southern then x's northern, are renumbered in
+    order of first appearance through a list indexed by component.
+    Each merge leaves one component fewer, so the components that no
+    outer point reaches, the loops, number the labels less the merges
+    less the components the outer points reach."""
     if x.r != y.r:
         raise RankMismatch(f"ranks {x.r} and {y.r} differ")
     r = x.r
@@ -122,15 +126,24 @@ def multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
     shift = max(yl, default=-1) + 1
     comp = list(range(shift + max(xl, default=-1) + 1))
     members = [[c] for c in comp]
+    merges = 0
     for m in range(r):
         a, b = comp[yl[r + m]], comp[xl[m] + shift]
         if a != b:
             for c in members[b]:
                 comp[c] = a
             members[a] += members[b]
-    outer = [comp[c] for c in yl[:r]] + [comp[c + shift] for c in xl[r:]]
-    loops = len(set(comp)) - len(set(outer))
-    return Diagram._trusted(r, _first_seen(outer)), loops
+            merges += 1
+    name = [-1] * len(comp)
+    labels = []
+    reached = 0
+    for c in [comp[c] for c in yl[:r]] + [comp[c + shift] for c in xl[r:]]:
+        if name[c] < 0:
+            name[c] = reached
+            reached += 1
+        labels.append(name[c])
+    loops = len(comp) - merges - reached
+    return Diagram._trusted(r, tuple(labels)), loops
 
 
 class Element:
@@ -182,6 +195,20 @@ class Element:
                 prod, loops = multiply(d1, d2)
                 key = prod, e1 + e2 + loops
                 terms[key] = terms.get(key, 0) + c1 * c2
+        return Element(self.r, terms)
+
+    def times_s(self, k: int) -> "Element":
+        """self * s_k.  On the right, s_k only swaps southern points k
+        and k+1: each diagram's labels at those points trade places and
+        are renumbered, the power of n and the coefficient stay, and no
+        loop closes.  The map is a bijection, so no two terms meet."""
+        if not 1 <= k <= self.r - 1:
+            raise IndexError(f"s_{k} needs 1 <= k <= r-1={self.r - 1}")
+        terms = {}
+        for (d, e), c in self.terms.items():
+            labels = list(d.labels)
+            labels[k - 1], labels[k] = labels[k], labels[k - 1]
+            terms[Diagram._trusted(self.r, _first_seen(labels)), e] = c
         return Element(self.r, terms)
 
     def __rmul__(self, other):
@@ -367,7 +394,7 @@ def verify_thm33(t: Tableau, k: int, r=None) -> bool:
     swapped = swap_adjacent(t, k)
     if swapped is None:
         raise SwapUndefined(f"swap at k={k} undefined for {t}")
-    lhs = murphy_u(t, r) * Element.from_diagram(gen_s(k, r))
+    lhs = murphy_u(t, r).times_s(k)
     rhs = murphy_u(swapped, r)
     err = error_path(t, k)
     if err is not None:

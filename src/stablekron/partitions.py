@@ -74,22 +74,6 @@ def partial_sum(lam, a: int) -> int:
     return sum(lam[: min(a, len(lam))])
 
 
-def pad(lam, n: int) -> tuple[int, ...]:
-    """Prepend a first row of n - |lam| boxes; must yield a partition."""
-    first = n - size(lam)
-    if lam and first < lam[0]:
-        raise NotAPartition(f"cannot pad {lam} to size {n}")
-    if first < 0:
-        raise NotAPartition(f"cannot pad {lam} to size {n}")
-    return (first,) + tuple(lam) if first > 0 else partition(lam)
-
-
-def intersect(lam, nu) -> tuple[int, ...]:
-    """Pointwise minimum."""
-    return partition(min(part(lam, i), part(nu, i))
-                     for i in range(1, min(len(lam), len(nu)) + 1))
-
-
 def contains(inner, outer) -> bool:
     """Row-wise containment inner ⊆ outer."""
     return all(part(inner, i) <= part(outer, i)
@@ -106,18 +90,6 @@ def in_bounds(lam, nu, s: int) -> bool:
     """True iff max(skew_diff_sizes(lam, nu)) <= s <= |lam| + |nu|, the
     range of s outside which the stable coefficient is 0."""
     return max(skew_diff_sizes(lam, nu)) <= s <= size(lam) + size(nu)
-
-
-def is_horizontal(outer, inner) -> bool:
-    """True iff no column of the skew shape outer/inner has two boxes."""
-    outer = partition(outer)
-    inner = partition(inner)
-    if not contains(inner, outer):
-        raise NotAPartition(f"{inner} is not contained in {outer}")
-    for i in range(2, len(outer) + 1):
-        if part(outer, i) > part(inner, i) and part(outer, i) > part(inner, i - 1):
-            return False
-    return True
 
 
 def minmax(lam, nu) -> int:

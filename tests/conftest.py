@@ -1,10 +1,40 @@
-"""Shared brute-force reference implementations for the test suite.
+"""Shared helpers and brute-force reference implementations for the
+test suite.
 
 Everything here is deliberately independent of the package internals:
-alternative definitions used to cross-check the library code.
+partition helpers that only the tests use, and alternative definitions
+used to cross-check the library code.
 """
 
-from stablekron.partitions import part
+from stablekron.partitions import NotAPartition, contains, part, partition, size
+
+
+def pad(lam, n: int) -> tuple[int, ...]:
+    """Prepend a first row of n - |lam| boxes; must yield a partition."""
+    first = n - size(lam)
+    if lam and first < lam[0]:
+        raise NotAPartition(f"cannot pad {lam} to size {n}")
+    if first < 0:
+        raise NotAPartition(f"cannot pad {lam} to size {n}")
+    return (first,) + tuple(lam) if first > 0 else partition(lam)
+
+
+def intersect(lam, nu) -> tuple[int, ...]:
+    """Pointwise minimum."""
+    return partition(min(part(lam, i), part(nu, i))
+                     for i in range(1, min(len(lam), len(nu)) + 1))
+
+
+def is_horizontal(outer, inner) -> bool:
+    """True iff no column of the skew shape outer/inner has two boxes."""
+    outer = partition(outer)
+    inner = partition(inner)
+    if not contains(inner, outer):
+        raise NotAPartition(f"{inner} is not contained in {outer}")
+    for i in range(2, len(outer) + 1):
+        if part(outer, i) > part(inner, i) and part(outer, i) > part(inner, i - 1):
+            return False
+    return True
 
 
 def prefix_lattice(word) -> bool:

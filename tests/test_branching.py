@@ -3,7 +3,7 @@ filters, swaps, error paths, and the split-path bijection."""
 
 import pytest
 
-from conftest import brute_skew_syt_count
+from conftest import brute_skew_syt_count, intersect, pad
 
 from stablekron import branching
 from stablekron.branching import (
@@ -11,8 +11,8 @@ from stablekron.branching import (
     enumerate_std0, error_path, is_dvir, remove_box, step_key, swap_adjacent,
 )
 from stablekron.partitions import (
-    contains, intersect, is_copieri, pad, partition, partitions_of,
-    partitions_up_to, size, skew_diff_sizes,
+    contains, is_copieri, partition, partitions_of, partitions_up_to, size,
+    skew_diff_sizes,
 )
 from stablekron.verify import bell_counts, bell_number
 

@@ -314,6 +314,27 @@ class TestMurphyElements:
             clear_caches()
         assert fast == slow
 
+    def test_times_s_matches_product(self):
+        # equality gate for the label transposition: every Murphy element
+        # of every path from the empty partition with 3 <= r <= 5, at
+        # every k, against the product with the diagram of s_k
+        cases = 0
+        for r in range(3, 6):
+            gens = [Element.from_diagram(gen_s(k, r)) for k in range(1, r)]
+            for nu in partitions_up_to(r):
+                for t in enumerate_std((), nu, r):
+                    u = murphy_u(t, r)
+                    for k, s in enumerate(gens, start=1):
+                        assert u.times_s(k) == u * s, (t, k)
+                        cases += 1
+        assert cases == 4550
+
+    def test_times_s_rejects_missing_generator(self):
+        u = Element.one(3)
+        for k in (0, 3):
+            with pytest.raises(IndexError):
+                u.times_s(k)
+
     def test_cached_element_survives_arithmetic(self):
         r = 4
         paths = enumerate_std((), (2, 1), r)
@@ -322,7 +343,7 @@ class TestMurphyElements:
         u, v = murphy_u(t, r), murphy_u(other, r)
         s = Element.from_diagram(gen_s(1, r))
         # the arithmetic the sweeps do, then an in-place edit of the copy
-        u * s, s * u, u + v, u - v, -u, 3 * u, element_star(u)
+        u * s, s * u, u.times_s(1), u + v, u - v, -u, 3 * u, element_star(u)
         u.terms.clear()
         assert murphy_u(t, r) == want
         assert murphy_u(other, r) == _reference_murphy_u(other, r)

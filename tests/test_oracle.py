@@ -13,6 +13,8 @@ from math import factorial
 
 import pytest
 
+from conftest import is_horizontal, pad
+
 from stablekron import oracle
 from stablekron.lr import _classical_lr
 from stablekron.oracle import (
@@ -20,8 +22,8 @@ from stablekron.oracle import (
     stable_kronecker_oracle, z_order, _kronecker,
 )
 from stablekron.partitions import (
-    NotAPartition, contains, is_horizontal, pad, part, partition,
-    partitions_of, partitions_up_to, size,
+    NotAPartition, contains, part, partition, partitions_of,
+    partitions_up_to, size,
 )
 
 

@@ -3,11 +3,13 @@
 import pytest
 from hypothesis import given, strategies as st
 
+from conftest import intersect, is_horizontal, pad
+
 from stablekron.partitions import (
     NotAPartition, Undefined, contains, format_partition, in_bounds,
-    intersect, is_copieri, is_horizontal, is_maximal_depth, minmax, pad,
-    parse_partition, part, partial_sum, partition, partitions_of,
-    partitions_up_to, size, skew_diff_sizes,
+    is_copieri, is_maximal_depth, minmax, parse_partition, part,
+    partial_sum, partition, partitions_of, partitions_up_to, size,
+    skew_diff_sizes,
 )
 
 partitions_strategy = st.lists(

@@ -12,7 +12,7 @@ from itertools import accumulate, combinations, product
 
 import pytest
 
-from conftest import prefix_lattice
+from conftest import intersect, is_horizontal, prefix_lattice
 
 from stablekron.branching import (
     Tableau, enumerate_std0, step_key, step_str, swap_adjacent,
@@ -21,8 +21,8 @@ from stablekron.lr import (
     LR_CACHE_SIZE, ShapeMismatch, classical_lr, ssyt_count, _skew_ssyt,
 )
 from stablekron.partitions import (
-    contains, intersect, is_copieri, is_horizontal, is_maximal_depth, part,
-    partial_sum, partition, partitions_of, partitions_up_to, size,
+    contains, is_copieri, is_maximal_depth, part, partial_sum, partition,
+    partitions_of, partitions_up_to, size,
 )
 from stablekron import tableaux
 from stablekron.tableaux import (

@@ -5,6 +5,9 @@ level removes a box (or nothing, index 0), coming back up adds a box (or
 nothing).  An integral step is the pair (remove-row, add-row); a tableau
 is a start partition plus a sequence of integral steps all of whose
 intermediate shapes are partitions.
+
+No call leaves a reference cycle behind: what a call builds and does not
+return is freed by reference counting as soon as it returns.
 """
 
 from __future__ import annotations
@@ -135,6 +138,13 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
     steps left after it, and every prefix visited extends to a path.
     Each shape's distance, and its live moves in step order for each
     number of steps left, are memoized in dicts local to the call.
+
+    The walk keeps an explicit stack, not a recursion: one iterator of
+    live moves per depth, and the current prefix's steps and shapes in
+    lists of fixed length s and s + 1, overwritten in place.  A move at
+    depth s emits a path; an exhausted iterator is popped.  No function
+    refers to itself, so the paths dropped by a caller and the memos
+    are freed by reference counting when the call returns.
     """
     if s < 0:
         raise ValueError("s must be non-negative")
@@ -169,22 +179,27 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
             live[key] = cands
         return cands
 
-    steps: list[Step] = []
-    shapes = [lam]
-
-    def rec(shape, remaining):
-        if remaining == 0:
-            out.append(Tableau._trusted(lam, tuple(steps), tuple(shapes)))
-            return
-        for st, nxt in live_moves(shape, remaining):
-            steps.append(st)
-            shapes.append(nxt)
-            rec(nxt, remaining - 1)
-            steps.pop()
-            shapes.pop()
-
-    if distance(lam) <= s:
-        rec(lam, s)
+    if distance(lam) > s:
+        return out
+    if s == 0:
+        out.append(Tableau._trusted(lam, (), (lam,)))
+        return out
+    steps: list[Step] = [(0, 0)] * s
+    shapes = [lam] * (s + 1)
+    # moves[d] iterates the live moves from shapes[d] not yet taken
+    moves = [iter(live_moves(lam, s))]
+    while moves:
+        d = len(moves)
+        for st, nxt in moves[-1]:
+            steps[d - 1] = st
+            shapes[d] = nxt
+            if d == s:
+                out.append(Tableau._trusted(lam, tuple(steps), tuple(shapes)))
+            else:
+                moves.append(iter(live_moves(nxt, s - d)))
+                break
+        else:
+            moves.pop()
     return out
 
 

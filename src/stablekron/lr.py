@@ -9,7 +9,8 @@ works on raw prefix counts, as in the definition, and the module
 depends only on `partitions`, so the maximal-depth cross-check of the
 counting rule against these numbers shares no code with the rule's own
 lattice scan.  Both counts are memoized in LRU caches bounded at
-LR_CACHE_SIZE arguments each.
+LR_CACHE_SIZE arguments each.  The recursive walks drop their
+self-references on return, so no call leaves a reference cycle behind.
 """
 
 from __future__ import annotations
@@ -58,7 +59,10 @@ def _skew_ssyt(outer, inner, weight):
             del grid[(i, j)]
             remaining[v - 1] += 1
 
-    yield from rec(0)
+    try:
+        yield from rec(0)
+    finally:
+        del rec  # rec refers to itself through its closure
 
 
 def classical_lr(lam, nu, mu) -> int:
@@ -112,7 +116,9 @@ def _classical_lr(lam, nu, mu) -> int:
                 count[v] = placed
         return leaves
 
-    return walk(0)
+    leaves = walk(0)
+    del walk  # walk refers to itself through its closure
+    return leaves
 
 
 def ssyt_count(tau, mu) -> int:

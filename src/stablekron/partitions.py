@@ -150,6 +150,7 @@ def _partitions_of(k: int, max_len) -> tuple[tuple[int, ...], ...]:
             prefix.pop()
 
     rec(k, k, [])
+    del rec  # rec refers to itself through its closure
     return tuple(out)
 
 

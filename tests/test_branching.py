@@ -20,23 +20,14 @@ from stablekron.verify import bell_counts, bell_number
 def _reference_enumerate_std(lam, nu, s):
     """The plain path DFS: try every move at every prefix, prune only
     prefixes that cannot reach nu in the steps left, and rebuild each
-    path through the validating constructor."""
+    path through the validating constructor.  Each shape's distance
+    and moves are worked out once per call."""
     lam = partition(lam)
     nu = partition(nu)
     out = []
 
-    def feasible(shape, remaining):
+    def distance_and_moves(shape):
         inter = size(intersect(shape, nu))
-        return max(size(shape) - inter, size(nu) - inter) <= remaining
-
-    def rec(shape, steps):
-        remaining = s - len(steps)
-        if remaining == 0:
-            if shape == nu:
-                out.append(Tableau(lam, steps))
-            return
-        if not feasible(shape, remaining):
-            return
         cands = []
         for i in range(0, len(shape) + 1):
             half = remove_box(shape, i)
@@ -47,6 +38,21 @@ def _reference_enumerate_std(lam, nu, s):
                 if nxt is not None:
                     cands.append(((i, j), nxt))
         cands.sort(key=lambda c: step_key(c[0]))
+        return max(size(shape) - inter, size(nu) - inter), cands
+
+    seen = {}
+
+    def rec(shape, steps):
+        remaining = s - len(steps)
+        if remaining == 0:
+            if shape == nu:
+                out.append(Tableau(lam, steps))
+            return
+        if shape not in seen:
+            seen[shape] = distance_and_moves(shape)
+        dist, cands = seen[shape]
+        if dist > remaining:
+            return
         for st, nxt in cands:
             rec(nxt, steps + [st])
 
@@ -160,13 +166,27 @@ class TestEnumeration:
                 assert got == brute_skew_syt_count(nu, lam)
 
     def test_matches_reference_dfs(self):
+        # s <= 6 where both sizes are at most 3, s <= 4 up to size 4
         pool = partitions_up_to(4)
         for lam in pool:
             for nu in pool:
-                for s in range(5):
+                top = 6 if max(size(lam), size(nu)) <= 3 else 4
+                for s in range(top + 1):
                     assert _as_lists(enumerate_std(lam, nu, s)) \
                         == _as_lists(_reference_enumerate_std(lam, nu, s)), \
                         (lam, nu, s)
+
+    def test_shortest_paths(self):
+        # s = 0: the one empty path when lam == nu, none otherwise
+        assert _as_lists(enumerate_std((2, 1), (2, 1), 0)) \
+            == [((2, 1), (), ((2, 1),))]
+        assert _as_lists(enumerate_std((), (), 0)) == [((), (), ((),))]
+        assert enumerate_std((2, 1), (2,), 0) == []
+        # s = 1: one step each, in step order
+        assert [t.steps for t in enumerate_std((1,), (1,), 1)] \
+            == [((1, 1),), ((0, 0),)]
+        assert [t.steps for t in enumerate_std((2,), (1, 1), 1)] == [((1, 2),)]
+        assert enumerate_std((), (2,), 1) == []
 
     def test_bell_counts(self):
         records = list(bell_counts(4))

@@ -95,9 +95,7 @@ class Tableau:
 
     @classmethod
     def _trusted(cls, start, steps, shapes):
-        """A tableau from shapes the caller has already validated:
-        start a partition, steps a tuple of int pairs and shapes the
-        tuple of integral shapes they visit, start first."""
+        """A tableau from a start, steps and shapes already validated."""
         t = cls.__new__(cls)
         t.start = start
         t.steps = steps
@@ -125,6 +123,24 @@ class Tableau:
         return f"Tableau({self.start}, [{self.serialize()}])"
 
 
+def _extend(out, lam, steps, shapes, d, last, live, live_moves):
+    """Append to out every path through the prefix steps[:d], which
+    visits shapes[:d + 1]; at depth last = s - 1, emit them in place."""
+    shape = shapes[d]
+    moves = live.get((shape, last + 1 - d)) or live_moves(shape, last + 1 - d)
+    if d == last:
+        prefix, shared = tuple(steps), tuple(shapes)
+        new = Tableau.__new__
+        for st, _ in moves:
+            t = new(Tableau)
+            t.start, t.steps, t.shapes = lam, prefix + (st,), shared
+            out.append(t)
+        return
+    for st, nxt in moves:
+        steps[d], shapes[d + 1] = st, nxt
+        _extend(out, lam, steps, shapes, d + 1, last, live, live_moves)
+
+
 def enumerate_std(lam, nu, s: int) -> list[Tableau]:
     """All standard tableaux (paths) from lam to nu in s integral steps,
     in lexicographic order of step sequences under the step order.
@@ -139,12 +155,10 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
     Each shape's distance, and its live moves in step order for each
     number of steps left, are memoized in dicts local to the call.
 
-    The walk keeps an explicit stack, not a recursion: one iterator of
-    live moves per depth, and the current prefix's steps and shapes in
-    lists of fixed length s and s + 1, overwritten in place.  A move at
-    depth s emits a path; an exhausted iterator is popped.  No function
-    refers to itself, so the paths dropped by a caller and the memos
-    are freed by reference counting when the call returns.
+    The walk is _extend, a module-level recursion of depth s over one
+    prefix in lists overwritten in place; it gets the memo and live_moves
+    as arguments, so no function refers to itself.  Every live move after
+    s - 1 steps lands on nu, so the paths it ends share one shapes tuple.
     """
     if s < 0:
         raise ValueError("s must be non-negative")
@@ -184,22 +198,8 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
     if s == 0:
         out.append(Tableau._trusted(lam, (), (lam,)))
         return out
-    steps: list[Step] = [(0, 0)] * s
-    shapes = [lam] * (s + 1)
-    # moves[d] iterates the live moves from shapes[d] not yet taken
-    moves = [iter(live_moves(lam, s))]
-    while moves:
-        d = len(moves)
-        for st, nxt in moves[-1]:
-            steps[d - 1] = st
-            shapes[d] = nxt
-            if d == s:
-                out.append(Tableau._trusted(lam, tuple(steps), tuple(shapes)))
-            else:
-                moves.append(iter(live_moves(nxt, s - d)))
-                break
-        else:
-            moves.pop()
+    shapes = [lam] * s + [nu]
+    _extend(out, lam, [(0, 0)] * (s - 1), shapes, 0, s - 1, live, live_moves)
     return out
 
 

@@ -141,10 +141,12 @@ class TestEnumeration:
 
     def test_paths_revalidate(self):
         # recompute every intermediate shape independently, and through
-        # the validating constructor
+        # the validating constructor; (4,) to (5,) in 5 steps is a
+        # co-Pieri case whose last-step siblings share one shapes tuple
         for lam, nu, s in [((2, 1), (3, 1), 3), ((), (), 4), ((3,), (2,), 4),
-                           ((2, 2), (3, 2, 1), 3)]:
+                           ((2, 2), (3, 2, 1), 3), ((4,), (5,), 5)]:
             for t in enumerate_std(lam, nu, s):
+                assert t.end == nu
                 cur = t.start
                 for (i, j), nxt in zip(t.steps, t.shapes[1:]):
                     half = remove_box(cur, i)
@@ -175,6 +177,10 @@ class TestEnumeration:
                     assert _as_lists(enumerate_std(lam, nu, s)) \
                         == _as_lists(_reference_enumerate_std(lam, nu, s)), \
                         (lam, nu, s)
+        # the three largest enumerations of the rule-copieri benchmark
+        for lam, nu, s in [((6,), (6,), 6), ((5,), (5,), 6), ((4,), (6,), 6)]:
+            assert _as_lists(enumerate_std(lam, nu, s)) \
+                == _as_lists(_reference_enumerate_std(lam, nu, s)), (lam, nu, s)
 
     def test_shortest_paths(self):
         # s = 0: the one empty path when lam == nu, none otherwise
@@ -187,6 +193,11 @@ class TestEnumeration:
             == [((1, 1),), ((0, 0),)]
         assert [t.steps for t in enumerate_std((2,), (1, 1), 1)] == [((1, 2),)]
         assert enumerate_std((), (2,), 1) == []
+        # s = 2: the first step is already the last but one
+        assert _as_lists(enumerate_std((), (1,), 2)) == [
+            ((), ((0, 0), (0, 1)), ((), (), (1,))),
+            ((), ((0, 1), (1, 1)), ((), (1,), (1,))),
+            ((), ((0, 1), (0, 0)), ((), (1,), (1,)))]
 
     def test_bell_counts(self):
         records = list(bell_counts(4))

@@ -8,16 +8,16 @@ An algebra element maps each pair (diagram d, power e) to the nonzero
 integer coefficient of n^e·d, so every identity checked here holds for
 all n simultaneously.
 
-A diagram is stored as its labels: the block number of each point 1..2r
-in turn, blocks numbered from 0 in order of their least point, so equal
-set-partitions have equal label tuples.  A product is one union-find
-over the block labels of its two factors.  On the right, a
-transposition s_k only transposes the labels of southern points k and
-k+1 (Element.times_s).  The factors of the branching
-coefficients (e_int, e_half, s_range, m_sum) and the partial products
-of Murphy elements are built once per argument tuple through bounded
-LRU caches (FACTOR_CACHE_SIZE, MURPHY_CACHE_SIZE); the public functions
-return fresh copies of the cached elements.
+A diagram is the tuple of its labels: the block number of each point
+1..2r in turn, blocks numbered from 0 in order of their least point, so
+equal set-partitions are equal tuples and the rank r is half the length.
+A product is one union-find over the block labels of its two factors.
+On the right, a transposition s_k only transposes the labels of
+southern points k and k+1 (Element.times_s).  The factors of the
+branching coefficients (e_int, e_half, s_range, m_sum) and the partial
+products of Murphy elements are built once per argument tuple through
+bounded LRU caches (FACTOR_CACHE_SIZE, MURPHY_CACHE_SIZE); the public
+functions return fresh copies of the cached elements.
 """
 
 from __future__ import annotations
@@ -49,13 +49,15 @@ def _first_seen(labels) -> tuple[int, ...]:
     return tuple(names.setdefault(c, len(names)) for c in labels)
 
 
-class Diagram:
-    """A set-partition of {1..r} (southern) and {r+1..2r} (northern),
-    stored as the label of each point's block in canonical numbering."""
+class Diagram(tuple):
+    """A set-partition of {1..r} (southern) and {r+1..2r} (northern):
+    the tuple of each point's block label in canonical numbering.  A
+    diagram compares and hashes equal to the plain tuple of its labels;
+    Element.terms keys hold only diagrams, so none meets a plain tuple."""
 
-    __slots__ = ("r", "labels", "_hash")
+    __slots__ = ()
 
-    def __init__(self, r: int, blocks):
+    def __new__(cls, r: int, blocks):
         blocks = [tuple(b) for b in blocks]
         seen = sorted(c for b in blocks for c in b)
         if seen != list(range(1, 2 * r + 1)) or not all(blocks):
@@ -64,18 +66,11 @@ class Diagram:
         for i, b in enumerate(blocks):
             for c in b:
                 labels[c - 1] = i
-        self.r = r
-        self.labels = _first_seen(labels)
-        self._hash = hash((r, self.labels))
+        return tuple.__new__(cls, _first_seen(labels))
 
-    @classmethod
-    def _trusted(cls, r: int, labels) -> "Diagram":
-        """A diagram from labels the caller knows are canonical."""
-        d = cls.__new__(cls)
-        d.r = r
-        d.labels = labels
-        d._hash = hash((r, labels))
-        return d
+    @property
+    def r(self) -> int:
+        return len(self) >> 1
 
     @classmethod
     def identity(cls, r: int) -> "Diagram":
@@ -84,17 +79,10 @@ class Diagram:
     @property
     def blocks(self) -> tuple[tuple[int, ...], ...]:
         """The blocks as sorted point tuples, ordered by least point."""
-        out: list[list[int]] = [[] for _ in range(max(self.labels, default=-1) + 1)]
-        for pt, c in enumerate(self.labels, start=1):
+        out: list[list[int]] = [[] for _ in range(max(self, default=-1) + 1)]
+        for pt, c in enumerate(self, start=1):
             out[c].append(pt)
         return tuple(map(tuple, out))
-
-    def __eq__(self, other):
-        return (isinstance(other, Diagram)
-                and self.r == other.r and self.labels == other.labels)
-
-    def __hash__(self):
-        return self._hash
 
     def __str__(self):
         parts = []
@@ -119,16 +107,15 @@ def multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
     Each merge leaves one component fewer, so the components that no
     outer point reaches, the loops, number the labels less the merges
     less the components the outer points reach."""
-    if x.r != y.r:
+    if len(x) != len(y):
         raise RankMismatch(f"ranks {x.r} and {y.r} differ")
-    r = x.r
-    xl, yl = x.labels, y.labels
-    shift = max(yl, default=-1) + 1
-    comp = list(range(shift + max(xl, default=-1) + 1))
+    r = len(x) >> 1
+    shift = max(y, default=-1) + 1
+    comp = list(range(shift + max(x, default=-1) + 1))
     members = [[c] for c in comp]
     merges = 0
     for m in range(r):
-        a, b = comp[yl[r + m]], comp[xl[m] + shift]
+        a, b = comp[y[r + m]], comp[x[m] + shift]
         if a != b:
             for c in members[b]:
                 comp[c] = a
@@ -137,13 +124,13 @@ def multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
     name = [-1] * len(comp)
     labels = []
     reached = 0
-    for c in [comp[c] for c in yl[:r]] + [comp[c + shift] for c in xl[r:]]:
+    for c in [comp[c] for c in y[:r]] + [comp[c + shift] for c in x[r:]]:
         if name[c] < 0:
             name[c] = reached
             reached += 1
         labels.append(name[c])
     loops = len(comp) - merges - reached
-    return Diagram._trusted(r, tuple(labels)), loops
+    return tuple.__new__(Diagram, labels), loops
 
 
 class Element:
@@ -206,9 +193,9 @@ class Element:
             raise IndexError(f"s_{k} needs 1 <= k <= r-1={self.r - 1}")
         terms = {}
         for (d, e), c in self.terms.items():
-            labels = list(d.labels)
+            labels = list(d)
             labels[k - 1], labels[k] = labels[k], labels[k - 1]
-            terms[Diagram._trusted(self.r, _first_seen(labels)), e] = c
+            terms[tuple.__new__(Diagram, _first_seen(labels)), e] = c
         return Element(self.r, terms)
 
     def __rmul__(self, other):
@@ -431,7 +418,7 @@ def dvir_diagram_check(lam, nu, s: int, t: Tableau) -> bool:
     prefix = maximal_path(lam, r - s)
     full = Tableau((), prefix.steps + t.steps)
     u = murphy_u(full, r)
-    for labels in {d.labels for d, _ in u.terms}:
-        if len(set(labels[r - s:r]) & set(labels[:r - s] + labels[r:])) > s - 1:
+    for d in {d for d, _ in u.terms}:
+        if len(set(d[r - s:r]) & set(d[:r - s] + d[r:])) > s - 1:
             return False
     return True

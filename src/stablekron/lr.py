@@ -1,68 +1,30 @@
 """Classical Littlewood-Richardson and Kostka counts.
 
-The Kostka count enumerates semistandard fillings of a shape directly.
-The Littlewood-Richardson count walks the cells of the skew shape in
-reverse reading order and places an entry only where the filling stays
-semistandard and the word read so far stays a lattice word, so it
-visits no filling that fails the lattice condition.  Its lattice test
-works on raw prefix counts, as in the definition, and the module
-depends only on `partitions`, so the maximal-depth cross-check of the
-counting rule against these numbers shares no code with the rule's own
-lattice scan.  Both counts are memoized in LRU caches bounded at
-LR_CACHE_SIZE arguments each.  The recursive walks drop their
-self-references on return, so no call leaves a reference cycle behind.
+The Kostka count peels off the largest entries of a filling, which form
+a horizontal strip, and recurses through its cache on the shape left
+and the weight less its last part.  The Littlewood-Richardson count
+walks the cells of the skew shape in reverse reading order and places
+an entry only where the filling stays semistandard and the word read so
+far stays a lattice word, so it visits no filling that fails the
+lattice condition.  Its lattice test works on raw prefix counts, as in
+the definition, its strip test is its own, and the module depends only
+on `partitions`, so the cross-checks of the counting rule against these
+numbers share no code with the rule's own lattice scan or horizontal
+test.  Both counts are memoized in LRU caches bounded at LR_CACHE_SIZE
+arguments each.  The LR walk drops its self-reference on return, so no
+call leaves a reference cycle behind.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import product
 
 from .partitions import composition, contains, part, partition, size
 
 
 class ShapeMismatch(ValueError):
     """Incompatible shapes/sizes for a Littlewood-Richardson count."""
-
-
-def _skew_ssyt(outer, inner, weight):
-    """Yield all semistandard fillings of outer/inner with the given
-    weight: rows weakly increase, columns strictly increase.  Each
-    filling is a tuple of row tuples (skew cells only)."""
-    outer = partition(outer)
-    inner = partition(inner)
-    if not contains(inner, outer):
-        raise ShapeMismatch(f"{inner} not contained in {outer}")
-    cells = [(i, j) for i in range(len(outer))
-             for j in range(part(inner, i + 1), outer[i])]
-    remaining = list(weight)
-    if sum(remaining) != len(cells):
-        return
-    grid = {}
-
-    def rec(pos):
-        if pos == len(cells):
-            rows = []
-            for i in range(len(outer)):
-                rows.append(tuple(grid[(i, j)]
-                                  for j in range(part(inner, i + 1), outer[i])))
-            yield tuple(rows)
-            return
-        i, j = cells[pos]
-        left = grid.get((i, j - 1), 1)
-        above = grid.get((i - 1, j), 0)
-        for v in range(max(left, above + 1), len(remaining) + 1):
-            if remaining[v - 1] == 0:
-                continue
-            remaining[v - 1] -= 1
-            grid[(i, j)] = v
-            yield from rec(pos + 1)
-            del grid[(i, j)]
-            remaining[v - 1] += 1
-
-    try:
-        yield from rec(0)
-    finally:
-        del rec  # rec refers to itself through its closure
 
 
 def classical_lr(lam, nu, mu) -> int:
@@ -132,4 +94,13 @@ def ssyt_count(tau, mu) -> int:
 
 @lru_cache(maxsize=LR_CACHE_SIZE)
 def _ssyt_count(tau, mu) -> int:
-    return sum(1 for _ in _skew_ssyt(tau, (), mu))
+    """`ssyt_count` on a partition tau and a composition mu of equal
+    size.  The entries len(mu) of a filling form a horizontal strip
+    tau/sigma of mu[-1] cells, tau_(i+1) <= sigma_i <= tau_i, and the
+    rest is a filling of sigma of weight mu[:-1]."""
+    if not mu:
+        return 1
+    rest = size(tau) - mu[-1]
+    rows = [range(part(tau, i + 2), tau[i] + 1) for i in range(len(tau))]
+    return sum(_ssyt_count(tuple(x for x in sigma if x), mu[:-1])
+               for sigma in product(*rows) if sum(sigma) == rest)

@@ -136,8 +136,9 @@ class TestDiagrams:
             Diagram(1, [(1, 2), ()])
 
     def test_labels_are_canonical(self):
-        # shuffling the blocks and the points inside them changes neither
-        # the labels nor the hash, and blocks reads back the sorted form
+        # a diagram is the tuple of its canonical labels: shuffling the
+        # blocks and the points inside them changes neither the tuple nor
+        # the hash, and blocks reads back the sorted form
         rng = random.Random(7)
         for _ in range(500):
             d = random_diagram(rng, rng.randint(1, 6))
@@ -146,9 +147,19 @@ class TestDiagrams:
                 rng.shuffle(b)
             rng.shuffle(blocks)
             e = Diagram(d.r, blocks)
-            assert e.labels == d.labels and hash(e) == hash(d)
+            by_least = sorted(blocks, key=min)
+            labels = tuple(next(i for i, b in enumerate(by_least) if pt in b)
+                           for pt in range(1, 2 * d.r + 1))
+            assert isinstance(e, tuple) and e == labels
+            assert e == d and hash(e) == hash(d)
             assert e.blocks == tuple(sorted(tuple(sorted(b)) for b in blocks))
-            assert e.labels[0] == 0 and max(e.labels) == len(blocks) - 1
+            assert e[0] == 0 and max(e) == len(blocks) - 1
+        for r in range(4):
+            for _ in range(5):
+                assert random_diagram(rng, r).r == r
+        assert Diagram(0, []).r == 0
+        # one block of all the points, at ranks 1 and 2
+        assert Diagram(1, [(1, 2)]) != Diagram(2, [(1, 2, 3, 4)])
 
     def test_star_is_involutive_flip(self):
         assert diagram_star(gen_p(1, 2)) == gen_p(1, 2)

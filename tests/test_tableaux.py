@@ -18,7 +18,7 @@ from stablekron.branching import (
     Tableau, enumerate_std0, step_key, step_str, swap_adjacent,
 )
 from stablekron.lr import (
-    LR_CACHE_SIZE, ShapeMismatch, classical_lr, ssyt_count, _skew_ssyt,
+    LR_CACHE_SIZE, ShapeMismatch, classical_lr, ssyt_count,
 )
 from stablekron.partitions import (
     contains, is_copieri, is_maximal_depth, part, partial_sum, partition,
@@ -474,6 +474,47 @@ class TestStableKronecker:
                                 == classical_lr(lam, nu, mu)
 
 
+def _skew_ssyt(outer, inner, weight):
+    """Yield all semistandard fillings of outer/inner with the given
+    weight: rows weakly increase, columns strictly increase.  Each
+    filling is a tuple of row tuples (skew cells only)."""
+    outer = partition(outer)
+    inner = partition(inner)
+    if not contains(inner, outer):
+        raise ShapeMismatch(f"{inner} not contained in {outer}")
+    cells = [(i, j) for i in range(len(outer))
+             for j in range(part(inner, i + 1), outer[i])]
+    remaining = list(weight)
+    if sum(remaining) != len(cells):
+        return
+    grid = {}
+
+    def rec(pos):
+        if pos == len(cells):
+            rows = []
+            for i in range(len(outer)):
+                rows.append(tuple(grid[(i, j)]
+                                  for j in range(part(inner, i + 1), outer[i])))
+            yield tuple(rows)
+            return
+        i, j = cells[pos]
+        left = grid.get((i, j - 1), 1)
+        above = grid.get((i - 1, j), 0)
+        for v in range(max(left, above + 1), len(remaining) + 1):
+            if remaining[v - 1] == 0:
+                continue
+            remaining[v - 1] -= 1
+            grid[(i, j)] = v
+            yield from rec(pos + 1)
+            del grid[(i, j)]
+            remaining[v - 1] += 1
+
+    try:
+        yield from rec(0)
+    finally:
+        del rec  # rec refers to itself through its closure
+
+
 def _reference_lr(lam, nu, mu) -> int:
     """Reference LR coefficient: every semistandard filling of nu/lam of
     weight mu, kept when its reverse reading word (rows top to bottom,
@@ -529,6 +570,17 @@ class TestClassicalCoefficients:
         assert ssyt_count((2, 1), (2, 1)) == 1
         assert ssyt_count((1, 1), (2,)) == 0
         assert ssyt_count((3,), (3,)) == 1
+
+    def test_kostka_matches_reference(self):
+        # equality gate for the strip recursion: the fillings of every
+        # tau, mu of size at most 8, and of weights with zero parts
+        pairs = [(tau, mu) for k in range(9) for tau in partitions_of(k)
+                 for mu in partitions_of(k)]
+        pairs += [(tau, mu) for mu in [(1, 0, 2), (0, 3), (2, 0, 2), (0, 0, 1)]
+                  for tau in partitions_of(sum(mu))]
+        for tau, mu in pairs:
+            assert ssyt_count(tau, mu) \
+                == sum(1 for _ in _skew_ssyt(tau, (), mu)), (tau, mu)
 
 
 def chain_vertices(mu, ops):

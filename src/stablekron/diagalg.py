@@ -14,15 +14,18 @@ equal set-partitions are equal tuples and the rank r is half the length.
 A product is one union-find over the block labels of its two factors.
 On the right, a transposition s_k only transposes the labels of
 southern points k and k+1 (Element.times_s).  The factors of the
-branching coefficients (e_int, e_half, s_range, m_sum) and the partial
-products of Murphy elements are built once per argument tuple through
-bounded LRU caches (FACTOR_CACHE_SIZE, MURPHY_CACHE_SIZE); the public
-functions return fresh copies of the cached elements.
+branching coefficients are single diagrams in closed form: e_int cuts
+strands into singletons, e_half merges strands into one block and
+s_range is a cycle of strands.  Each is built once per argument tuple
+in an LRU cache bounded at FACTOR_CACHE_SIZE and, being an immutable
+tuple, returned as it is.  The partial products of Murphy elements are
+cached the same way (MURPHY_CACHE_SIZE); murphy_u returns a fresh copy
+of the cached element.
 """
 
 from __future__ import annotations
 
-from functools import lru_cache, wraps
+from functools import lru_cache
 
 from .branching import Tableau, error_path, is_dvir, remove_box, swap_adjacent
 from .partitions import part, partial_sum, partition, size
@@ -160,6 +163,8 @@ class Element:
             raise RankMismatch(f"ranks {self.r} and {other.r} differ")
 
     def __add__(self, other):
+        if not isinstance(other, Element):
+            return NotImplemented
         self._check(other)
         terms = dict(self.terms)
         for de, c in other.terms.items():
@@ -170,11 +175,15 @@ class Element:
         return Element(self.r, {de: -c for de, c in self.terms.items()})
 
     def __sub__(self, other):
+        if not isinstance(other, Element):
+            return NotImplemented
         return self + (-other)
 
     def __mul__(self, other):
         if isinstance(other, int):
             return Element(self.r, {de: c * other for de, c in self.terms.items()})
+        if not isinstance(other, Element):
+            return NotImplemented
         self._check(other)
         terms: dict[tuple[Diagram, int], int] = {}
         for (d1, e1), c1 in self.terms.items():
@@ -204,8 +213,9 @@ class Element:
         return NotImplemented
 
     def __eq__(self, other):
-        return (isinstance(other, Element)
-                and self.r == other.r and self.terms == other.terms)
+        if not isinstance(other, Element):
+            return NotImplemented
+        return self.r == other.r and self.terms == other.terms
 
     def __repr__(self):
         return f"Element({self.r}, {len(self.terms)} terms)"
@@ -246,98 +256,81 @@ def gen_p_half(k: int, r: int) -> Diagram:
 FACTOR_CACHE_SIZE = 256
 
 
-def _built_once(builder):
-    """Cache builder's elements in an LRU bounded at FACTOR_CACHE_SIZE
-    argument tuples; every call returns a fresh copy."""
-    cached = lru_cache(maxsize=FACTOR_CACHE_SIZE)(builder)
-
-    @wraps(builder)
-    def fresh(*args) -> Element:
-        element = cached(*args)
-        return Element(element.r, element.terms)
-
-    fresh.cache_clear = cached.cache_clear
-    return fresh
+def _strands_outside(lo: int, hi: int, r: int) -> list:
+    """The identity strands (j, r+j) outside lo..hi, a range of strands
+    that must lie in 1..r."""
+    if not 1 <= lo <= hi <= r:
+        raise IndexError(f"strands {lo}..{hi} are not within 1..{r}")
+    return [(j, r + j) for j in range(1, r + 1) if not lo <= j <= hi]
 
 
-@_built_once
-def e_int(k: int, l: int, r: int) -> Element:
-    """Product of l integral idempotent-like factors ending at p_k."""
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def e_int(k: int, l: int, r: int) -> Diagram:
+    """p_(k-l+1) ... p_k: the identity strands, except that strands
+    k-l+1..k are each cut into {j} and {r+j}."""
     if k == 0 or l == 0:
-        return Element.one(r)
-    if l < 0 or k - l + 1 < 1:
+        return Diagram.identity(r)
+    lo = k - l + 1
+    if l < 0 or lo < 1:
         raise ValueError(f"e_{k}^({l}) is not defined")
-    out = Element.one(r)
-    for j in range(k - l + 1, k + 1):
-        out = out * Element.from_diagram(gen_p(j, r))
-    return out
+    cut = [(c,) for j in range(lo, k + 1) for c in (j, r + j)]
+    return Diagram(r, _strands_outside(lo, k, r) + cut)
 
 
-@_built_once
-def e_half(k: int, l: int, r: int) -> Element:
-    """Product of l half-level merge factors ending at p_{k+1/2}."""
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def e_half(k: int, l: int, r: int) -> Diagram:
+    """p_(k-l+3/2) ... p_(k+1/2): the identity strands, except that
+    strands k-l+1..k+1 share one block with their northern points."""
     if k == 0 or l == 0:
-        return Element.one(r)
-    if l < 0 or k - l + 1 < 1:
+        return Diagram.identity(r)
+    lo = k - l + 1
+    if l < 0 or lo < 1:
         raise ValueError(f"e_(k+1/2)^({l}) is not defined for k={k}")
-    out = Element.one(r)
-    for j in range(k - l + 1, k + 1):
-        out = out * Element.from_diagram(gen_p_half(j, r))
-    return out
+    merged = [c for j in range(lo, k + 2) for c in (j, r + j)]
+    return Diagram(r, _strands_outside(lo, k + 1, r) + [merged])
 
 
-@_built_once
-def s_range(l: int, k: int, r: int) -> Element:
-    """The chain s_l s_{l+1} ... s_{k-1} (inverted when k < l); the
-    conventions: 1 if l or k is 0, 0 if either is negative."""
-    if l < 0 or k < 0:
-        return Element.zero(r)
+@lru_cache(maxsize=FACTOR_CACHE_SIZE)
+def s_range(l: int, k: int, r: int) -> Diagram:
+    """The chain s_l s_(l+1) ... s_(k-1): the cycle taking southern point
+    j to northern point j+1 for l <= j < k and k to l; when k < l, the
+    inverse cycle s_(l-1) ... s_k.  It is the identity if l or k is 0."""
     if l == 0 or k == 0 or l == k:
-        return Element.one(r)
-    out = Element.one(r)
-    rng = range(l, k) if l < k else range(l - 1, k - 1, -1)
-    for j in rng:
-        out = out * Element.from_diagram(gen_s(j, r))
-    return out
-
-
-@_built_once
-def m_sum(shape, b: int, r: int) -> Element:
-    """Sum over i of the chains ending at the partial sum through row b:
-    the row-insertion sum in the branching coefficients."""
-    if b == 0:
-        return Element.one(r)
-    top = partial_sum(shape, b)
-    out = Element.zero(r)
-    for i in range(part(shape, b)):
-        out = out + s_range(top - i, top, r)
-    return out
+        return Diagram.identity(r)
+    step = 1 if l < k else -1
+    cycle = [(j, r + j + step) for j in range(l, k, step)] + [(k, r + l)]
+    lo, hi = sorted((l, k))
+    return Diagram(r, _strands_outside(lo, hi, r) + cycle)
 
 
 def branching_coeff(t: Tableau, k: int, direction: str, half: str,
                     r: int) -> Element:
     """One of the four branching coefficients at level k (0-based) of a
-    path t starting at the empty partition."""
-    lam = t.shapes[k]
+    path t starting at the empty partition.  Up/first and down/second
+    are e_half · cycle, on (shape_k, a) and on (shape_(k+1), b);
+    up/second and down/first are e_int · Σ cycles · cycle, on
+    (k+1, shape_(k+1), b) and on (k, shape_k, a), the sum running over
+    the cycles that end at the partial sum through the row."""
+    lam, nu = t.shapes[k], t.shapes[k + 1]
     a, b = t.steps[k]
-    mid = remove_box(lam, a)
-    nu = t.shapes[k + 1]
-    if direction == "up" and half == "first":
-        return (e_half(k, k - size(mid), r)
-                * s_range(size(lam), partial_sum(lam, a), r))
-    if direction == "up" and half == "second":
-        out = e_int(k + 1, k + 1 - size(nu), r)
-        if b:
-            out = out * m_sum(nu, b, r) * s_range(partial_sum(nu, b), size(nu), r)
+    if (direction, half) in (("up", "first"), ("down", "second")):
+        shape, row = (lam, a) if direction == "up" else (nu, b)
+        mid = remove_box(lam, a)
+        d, loops = multiply(e_half(k, k - size(mid), r),
+                            s_range(size(shape), partial_sum(shape, row), r))
+        return Element(r, {(d, loops): 1})
+    if (direction, half) in (("up", "second"), ("down", "first")):
+        level, shape, row = ((k + 1, nu, b) if direction == "up"
+                             else (k, lam, a))
+        out = Element.from_diagram(e_int(level, level - size(shape), r))
+        if row:
+            top = partial_sum(shape, row)
+            # distinct cycles, so each term of the sum has coefficient 1
+            cycles = Element(r, {(s_range(top - i, top, r), 0): 1
+                                 for i in range(part(shape, row))})
+            out = (out * cycles
+                   * Element.from_diagram(s_range(top, size(shape), r)))
         return out
-    if direction == "down" and half == "first":
-        out = e_int(k, k - size(lam), r)
-        if a:
-            out = out * m_sum(lam, a, r) * s_range(partial_sum(lam, a), size(lam), r)
-        return out
-    if direction == "down" and half == "second":
-        return (e_half(k, k - size(mid), r)
-                * s_range(size(nu), partial_sum(nu, b), r))
     raise ValueError(f"unknown branching coefficient {direction}/{half}")
 
 
@@ -357,6 +350,8 @@ def murphy_u(t: Tableau, r=None) -> Element:
         raise ValueError("Murphy elements require paths from the empty partition")
     if r is None:
         r = len(t.steps)
+    if r < len(t.steps):
+        raise ValueError(f"rank {r} is below the {len(t.steps)} steps of {t}")
     return Element(r, _murphy_prefix(t.steps, r).terms)
 
 

@@ -5,6 +5,7 @@ here, beside the only identities that use them.
 """
 
 import random
+from collections import Counter
 from fractions import Fraction
 from itertools import permutations, product
 
@@ -14,7 +15,7 @@ from stablekron import diagalg
 from stablekron.branching import Tableau, enumerate_std, error_path, is_dvir, swap_adjacent
 from stablekron.diagalg import (
     Diagram, Element, NotDvir, RankMismatch, SwapUndefined, branching_coeff,
-    dvir_diagram_check, e_int,
+    dvir_diagram_check, e_half, e_int,
     gen_p, gen_p_half, gen_s, maximal_path, multiply, murphy_u, s_range,
     verify_thm33,
 )
@@ -59,7 +60,7 @@ def x_element(nu, r: int) -> Element:
             image.update(zip(block, images))
         d = Diagram(r, [(j, r + image[j]) for j in range(1, r + 1)])
         young = young + Element.from_diagram(d)
-    return e_int(r, r - size(nu), r) * young
+    return Element.from_diagram(e_int(r, r - size(nu), r)) * young
 
 
 def random_diagram(rng, r):
@@ -249,25 +250,97 @@ class TestElements:
         sq = p * p
         assert sq.terms == {(gen_p(1, 1), 1): 1}  # n * p
 
+    def test_other_operands_are_not_implemented(self):
+        # a diagram is a tuple, not an element: arithmetic with one, or
+        # with a non-int scalar, raises TypeError rather than reading the
+        # operand's attributes
+        one, s = Element.one(2), gen_s(1, 2)
+        for op in (lambda x, y: x + y, lambda x, y: x - y,
+                   lambda x, y: x * y):
+            for x, y in ((one, s), (s, one), (one, 1.5), (one, "x")):
+                with pytest.raises(TypeError):
+                    op(x, y)
+        for other in (s, 1, None):
+            assert one.__eq__(other) is NotImplemented
+            assert one != other
+        assert one == Element.from_diagram(Diagram.identity(2))
+
+
+def _generator_product(gens, r: int) -> Element:
+    out = Element.one(r)
+    for d in gens:
+        out = out * Element.from_diagram(d)
+    return out
+
+
+def _reference_factor(name: str, x: int, y: int, r: int) -> Element:
+    """e_int, e_half and s_range as products of the generators, with
+    their identity and undefined-argument conventions."""
+    if name == "s_range":
+        l, k = x, y
+        if l == 0 or k == 0:
+            return Element.one(r)
+        js = range(l, k) if l < k else range(l - 1, k - 1, -1)
+        return _generator_product([gen_s(j, r) for j in js], r)
+    k, l = x, y
+    if k == 0 or l == 0:
+        return Element.one(r)
+    if l < 0 or k - l + 1 < 1:
+        raise ValueError(f"{name}({k}, {l}) is not defined")
+    gen = gen_p if name == "e_int" else gen_p_half
+    return _generator_product([gen(j, r) for j in range(k - l + 1, k + 1)], r)
+
 
 class TestConventions:
     def test_s_range(self):
         r = 4
-        assert s_range(0, 3, r) == Element.one(r)
-        assert s_range(2, 0, r) == Element.one(r)
-        assert s_range(3, 3, r) == Element.one(r)
-        assert s_range(-1, 3, r) == Element.zero(r)
+        assert s_range(0, 3, r) == Diagram.identity(r)
+        assert s_range(2, 0, r) == Diagram.identity(r)
+        assert s_range(3, 3, r) == Diagram.identity(r)
         chain = Element.from_diagram(gen_s(2, r)) \
             * Element.from_diagram(gen_s(3, r))
-        assert s_range(2, 4, r) == chain
+        assert chain.terms == {(s_range(2, 4, r), 0): 1}
+        # southern 2, 3, 4 go to northern 3, 4, 2, and back when k < l
+        assert str(s_range(2, 4, r)) == "{1,1'}{2,3'}{3,4'}{4,2'}"
+        assert str(s_range(4, 2, r)) == "{1,1'}{2,4'}{3,2'}{4,3'}"
 
     def test_e_factors(self):
-        assert e_int(3, 0, 4) == Element.one(4)
-        assert e_int(0, 2, 4) == Element.one(4)
-        assert e_int(2, 2, 4) == Element.from_diagram(gen_p(1, 4)) \
-            * Element.from_diagram(gen_p(2, 4))
+        assert e_int(3, 0, 4) == Diagram.identity(4)
+        assert e_int(0, 2, 4) == Diagram.identity(4)
+        assert str(e_int(2, 2, 4)) == "{1}{2}{3,3'}{4,4'}{1'}{2'}"
+        assert str(e_half(2, 2, 4)) == "{1,2,3,1',2',3'}{4,4'}"
         with pytest.raises(ValueError):
             e_int(1, 3, 4)
+        with pytest.raises(ValueError):
+            e_half(1, -1, 4)
+
+    def test_factors_match_generator_products(self):
+        # equality gate for the closed forms: every argument pair from -1
+        # to r+2 at every rank r <= 6 gives the product of the generators,
+        # as a diagram at power 0, or the same error; strands outside
+        # 1..r raise IndexError, as the generators do
+        names = {"e_int": e_int, "e_half": e_half, "s_range": s_range}
+        outcomes = Counter()
+        for r in range(7):
+            for name, factor in names.items():
+                for x, y in product(range(-1, r + 3), repeat=2):
+                    try:
+                        want = _reference_factor(name, x, y, r)
+                    except (IndexError, ValueError) as err:
+                        with pytest.raises(type(err)):
+                            factor(x, y, r)
+                        outcomes[type(err).__name__] += 1
+                        continue
+                    got = factor(x, y, r)
+                    assert isinstance(got, Diagram) and got.r == r
+                    assert Element.from_diagram(got) == want, (name, x, y, r)
+                    outcomes["product"] += 1
+        # at rank r: products s_range r^2 + 2r + 10, e_int 2r + 7 +
+        # r(r+1)/2, e_half 2r + 7 + r(r-1)/2; strands beyond the rank
+        # s_range 6r + 6, e_int 2r + 3, e_half 3r + 3; e_int and e_half
+        # undefined (l < 0 or l > k, neither 0) (r+3)(r+4)/2 each
+        assert outcomes == {"product": 476, "IndexError": 315,
+                            "ValueError": 322}
 
 
 def special_path(nu, r):
@@ -282,7 +355,7 @@ def special_path(nu, r):
 
 def clear_caches():
     for cached in (diagalg.e_int, diagalg.e_half, diagalg.s_range,
-                   diagalg.m_sum, diagalg._murphy_prefix):
+                   diagalg._murphy_prefix):
         cached.cache_clear()
 
 
@@ -300,6 +373,15 @@ class TestMurphyElements:
     def test_requires_empty_start(self):
         with pytest.raises(ValueError):
             murphy_u(Tableau((1,), [(0, 1)]), 2)
+
+    def test_requires_a_strand_per_step(self):
+        t = Tableau((), [(0, 1), (0, 1), (0, 2)])
+        assert murphy_u(t, 3) == _reference_murphy_u(t, 3)
+        for r in (0, 1, 2):
+            with pytest.raises(ValueError, match="below the 3 steps"):
+                murphy_u(t, r)
+        with pytest.raises(ValueError, match="below the 3 steps"):
+            verify_thm33(t, 1, 2)
 
     def test_matches_top_down_product(self):
         for r in range(1, 5):

@@ -106,9 +106,6 @@ class Tableau:
     def end(self):
         return self.shapes[-1]
 
-    def __len__(self):
-        return len(self.steps)
-
     def serialize(self) -> str:
         return " ".join(step_str(st) for st in self.steps)
 

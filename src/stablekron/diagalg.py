@@ -18,9 +18,11 @@ branching coefficients are single diagrams in closed form: e_int cuts
 strands into singletons, e_half merges strands into one block and
 s_range is a cycle of strands.  Each is built once per argument tuple
 in an LRU cache bounded at FACTOR_CACHE_SIZE and, being an immutable
-tuple, returned as it is.  The partial products of Murphy elements are
-cached the same way (MURPHY_CACHE_SIZE); murphy_u returns a fresh copy
-of the cached element.
+tuple, returned as it is.  A path of r steps from the empty partition
+fixes its Murphy element: the rank r and every shape its branching
+coefficients read.  The partial products of Murphy elements are cached
+the same way (MURPHY_CACHE_SIZE); murphy_u returns a fresh copy of the
+cached element.
 """
 
 from __future__ import annotations
@@ -154,10 +156,6 @@ class Element:
     def one(cls, r: int) -> "Element":
         return cls.from_diagram(Diagram.identity(r))
 
-    @classmethod
-    def zero(cls, r: int) -> "Element":
-        return cls(r)
-
     def _check(self, other):
         if self.r != other.r:
             raise RankMismatch(f"ranks {self.r} and {other.r} differ")
@@ -221,36 +219,6 @@ class Element:
         return f"Element({self.r}, {len(self.terms)} terms)"
 
 
-# -- generators --------------------------------------------------------------
-
-
-def gen_s(k: int, r: int) -> Diagram:
-    """The transposition of strands k and k+1."""
-    if not 1 <= k <= r - 1:
-        raise IndexError(f"s_{k} needs 1 <= k <= r-1={r - 1}")
-    blocks = [(j, r + j) for j in range(1, r + 1) if j not in (k, k + 1)]
-    blocks += [(k, r + k + 1), (k + 1, r + k)]
-    return Diagram(r, blocks)
-
-
-def gen_p(k: int, r: int) -> Diagram:
-    """The diagram isolating strand k into two singletons."""
-    if not 1 <= k <= r:
-        raise IndexError(f"p_{k} needs 1 <= k <= r={r}")
-    blocks = [(j, r + j) for j in range(1, r + 1) if j != k]
-    blocks += [(k,), (r + k,)]
-    return Diagram(r, blocks)
-
-
-def gen_p_half(k: int, r: int) -> Diagram:
-    """The diagram merging strands k and k+1 into one 4-point block."""
-    if not 1 <= k <= r - 1:
-        raise IndexError(f"p_{k}+1/2 needs 1 <= k <= r-1={r - 1}")
-    blocks = [(j, r + j) for j in range(1, r + 1) if j not in (k, k + 1)]
-    blocks += [(k, k + 1, r + k, r + k + 1)]
-    return Diagram(r, blocks)
-
-
 # -- Murphy-basis building blocks -------------------------------------------
 
 FACTOR_CACHE_SIZE = 256
@@ -303,43 +271,40 @@ def s_range(l: int, k: int, r: int) -> Diagram:
     return Diagram(r, _strands_outside(lo, hi, r) + cycle)
 
 
-def branching_coeff(t: Tableau, k: int, direction: str, half: str,
-                    r: int) -> Element:
-    """One of the four branching coefficients at level k (0-based) of a
-    path t starting at the empty partition.  Up/first and down/second
-    are e_half · cycle, on (shape_k, a) and on (shape_(k+1), b);
-    up/second and down/first are e_int · Σ cycles · cycle, on
-    (k+1, shape_(k+1), b) and on (k, shape_k, a), the sum running over
-    the cycles that end at the partial sum through the row."""
-    lam, nu = t.shapes[k], t.shapes[k + 1]
-    a, b = t.steps[k]
-    if (direction, half) in (("up", "first"), ("down", "second")):
-        shape, row = (lam, a) if direction == "up" else (nu, b)
-        mid = remove_box(lam, a)
-        d, loops = multiply(e_half(k, k - size(mid), r),
-                            s_range(size(shape), partial_sum(shape, row), r))
-        return Element(r, {(d, loops): 1})
-    if (direction, half) in (("up", "second"), ("down", "first")):
-        level, shape, row = ((k + 1, nu, b) if direction == "up"
-                             else (k, lam, a))
-        out = Element.from_diagram(e_int(level, level - size(shape), r))
-        if row:
-            top = partial_sum(shape, row)
-            # distinct cycles, so each term of the sum has coefficient 1
-            cycles = Element(r, {(s_range(top - i, top, r), 0): 1
-                                 for i in range(part(shape, row))})
-            out = (out * cycles
-                   * Element.from_diagram(s_range(top, size(shape), r)))
-        return out
-    raise ValueError(f"unknown branching coefficient {direction}/{half}")
+def _half_coeff(k: int, mid, shape, row: int, r: int) -> Element:
+    """e_half · cycle: the branching coefficient at level k (0-based)
+    that passes through mid, the shape at level k less one box, with the
+    cycle from |shape| to the partial sum of shape through row.  It is
+    the first up coefficient on (shape_k, a) and the second down one on
+    (shape_(k+1), b)."""
+    d, loops = multiply(e_half(k, k - size(mid), r),
+                        s_range(size(shape), partial_sum(shape, row), r))
+    return Element(r, {(d, loops): 1})
+
+
+def _int_coeff(level: int, shape, row: int, r: int) -> Element:
+    """e_int · Σ cycles · cycle: the branching coefficient on shape at
+    level, the sum running over the cycles that end at the partial sum
+    of shape through row.  It is the second up coefficient on
+    (k+1, shape_(k+1), b) and the first down one on (k, shape_k, a)."""
+    out = Element.from_diagram(e_int(level, level - size(shape), r))
+    if row:
+        top = partial_sum(shape, row)
+        # distinct cycles, so each term of the sum has coefficient 1
+        cycles = Element(r, {(s_range(top - i, top, r), 0): 1
+                             for i in range(part(shape, row))})
+        out = (out * cycles
+               * Element.from_diagram(s_range(top, size(shape), r)))
+    return out
 
 
 MURPHY_CACHE_SIZE = 4096
 
 
-def murphy_u(t: Tableau, r=None) -> Element:
-    """The ascending Murphy element of a path from the empty partition:
-    the product of up coefficients, top level first.
+def murphy_u(t: Tableau) -> Element:
+    """The ascending Murphy element of a path from the empty partition,
+    on one strand per step: the product of up coefficients, top level
+    first.
 
     It is built bottom up, P_k = (up_second_k * up_first_k) * P_(k-1),
     which by associativity equals the top-down product.  P_k depends
@@ -348,71 +313,62 @@ def murphy_u(t: Tableau, r=None) -> Element:
     rank) entries; each call returns a fresh copy of the cached element."""
     if t.start != ():
         raise ValueError("Murphy elements require paths from the empty partition")
-    if r is None:
-        r = len(t.steps)
-    if r < len(t.steps):
-        raise ValueError(f"rank {r} is below the {len(t.steps)} steps of {t}")
+    r = len(t.steps)
     return Element(r, _murphy_prefix(t.steps, r).terms)
 
 
 @lru_cache(maxsize=MURPHY_CACHE_SIZE)
 def _murphy_prefix(steps, r: int) -> Element:
     """The product of the up coefficients of a path from the empty
-    partition taking `steps`, bottom level last."""
+    partition taking `steps`, bottom level last, on r strands."""
     if not steps:
         return Element.one(r)
-    t = Tableau((), steps)
     k = len(steps) - 1
-    level = (branching_coeff(t, k, "up", "second", r)
-             * branching_coeff(t, k, "up", "first", r))
+    lam, nu = Tableau((), steps).shapes[k:]
+    a, b = steps[k]
+    level = (_int_coeff(k + 1, nu, b, r)
+             * _half_coeff(k, remove_box(lam, a), lam, a, r))
     return level * _murphy_prefix(steps[:-1], r)
 
 
-def verify_thm33(t: Tableau, k: int, r=None) -> bool:
+def verify_thm33(t: Tableau, k: int) -> bool:
     """Check (u_t) s_k = u_swap + u_err(t) - u_err(swap) exactly, with
-    missing error paths contributing 0."""
-    if r is None:
-        r = len(t.steps)
+    missing error paths contributing 0.  The swapped and error paths
+    take as many steps as t, so all four elements have its rank."""
     swapped = swap_adjacent(t, k)
     if swapped is None:
         raise SwapUndefined(f"swap at k={k} undefined for {t}")
-    lhs = murphy_u(t, r).times_s(k)
-    rhs = murphy_u(swapped, r)
+    lhs = murphy_u(t).times_s(k)
+    rhs = murphy_u(swapped)
     err = error_path(t, k)
     if err is not None:
-        rhs = rhs + murphy_u(err, r)
+        rhs = rhs + murphy_u(err)
     err_swap = error_path(swapped, k)
     if err_swap is not None:
-        rhs = rhs - murphy_u(err_swap, r)
+        rhs = rhs - murphy_u(err_swap)
     return lhs == rhs
 
 
-def maximal_path(nu, r: int) -> Tableau:
-    """The path from the empty partition staying empty for r - |nu|
-    steps and then filling nu row by row."""
-    nu = partition(nu)
-    if r < size(nu):
-        raise ValueError(f"no path of {r} steps reaches {nu}")
-    steps = [(0, 0)] * (r - size(nu))
-    for row, count in enumerate(nu, start=1):
+def maximal_path(nu) -> Tableau:
+    """The path from the empty partition filling nu row by row."""
+    steps = []
+    for row, count in enumerate(partition(nu), start=1):
         steps += [(0, row)] * count
     return Tableau((), steps)
 
 
-def dvir_diagram_check(lam, nu, s: int, t: Tableau) -> bool:
-    """For a radical path t from lam to nu in s steps, expand the Murphy
-    element of the maximal path to lam composed with t and verify every
-    diagram has at most s - 1 blocks joining a southern point above
-    r - s to a northern point or a southern point at most r - s."""
-    lam = partition(lam)
-    if t.start != lam or t.end != partition(nu) or len(t.steps) != s:
-        raise ValueError(f"{t} is not a path from {lam} to {nu} in {s} steps")
+def dvir_diagram_check(t: Tableau) -> bool:
+    """For a radical path t of s steps from lam = t.start, expand the
+    Murphy element of the maximal path to lam composed with t, on
+    r = |lam| + s strands, and verify every diagram has at most s - 1
+    blocks joining a southern point above r - s to a northern point or
+    a southern point at most r - s."""
     if is_dvir(t) is None:
         raise NotDvir(f"{t} is not in the radical")
-    r = size(lam) + s
-    prefix = maximal_path(lam, r - s)
-    full = Tableau((), prefix.steps + t.steps)
-    u = murphy_u(full, r)
+    s = len(t.steps)
+    full = Tableau((), maximal_path(t.start).steps + t.steps)
+    r = len(full.steps)
+    u = murphy_u(full)
     for d in {d for d, _ in u.terms}:
         if len(set(d[r - s:r]) & set(d[:r - s] + d[r:])) > s - 1:
             return False

@@ -49,7 +49,7 @@ def swap_identity(max_r: int):
                     if branching.swap_adjacent(t, k) is None:
                         continue
                     count += 1
-                    if not diagalg.verify_thm33(t, k, r):
+                    if not diagalg.verify_thm33(t, k):
                         ok = False
         yield {"check": "thm33", "r": r, "cases": count, "ok": ok}
 

@@ -126,7 +126,7 @@ def test_criterion_6_cellularity_count():
 def test_criterion_7_dvir_diagram_criterion():
     # the displayed instance
     displayed = Tableau((2, 1), [(2, 2), (0, 2), (2, 0)])
-    assert dvir_diagram_check((2, 1), (2, 1), 3, displayed)
+    assert dvir_diagram_check(displayed)
     # exhaustive sweep over radical paths
     checked = 0
     for lam in partitions_up_to(3):
@@ -135,7 +135,7 @@ def test_criterion_7_dvir_diagram_criterion():
                 for t in enumerate_std(lam, nu, s):
                     if is_dvir(t) is None:
                         continue
-                    assert dvir_diagram_check(lam, nu, s, t), (lam, nu, s, t)
+                    assert dvir_diagram_check(t), t
                     checked += 1
     assert checked > 1000
 

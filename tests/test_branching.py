@@ -131,6 +131,10 @@ class TestEnumeration:
         assert len(out) == 1 and out[0].steps == ()
         assert enumerate_std((3, 1), (3,), 0) == []
 
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ValueError):
+            enumerate_std((3, 1), (3, 1), -1)
+
     def test_lexicographic_output(self):
         for lam, nu, s in [((2, 1), (2, 1), 2), ((3,), (2,), 3),
                            ((), (2, 1), 3)]:

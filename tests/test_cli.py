@@ -5,6 +5,7 @@ import json
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
+from stablekron import diagalg
 from stablekron.cli import main
 
 
@@ -16,6 +17,35 @@ def run_ok(*args):
     result = run(*args)
     assert result.exit_code == 0, result.output + str(result.exception)
     return result
+
+
+VERIFY_TSV = """\
+check\tok\tdetail
+thm33\tTrue\t{"cases": 39, "r": 3}
+thm33\tTrue\t{"cases": 4, "r": 2}
+bell\tTrue\t{"got": 15, "r": 2, "want": 15}
+bell\tTrue\t{"got": 2, "r": 1, "want": 2}
+bell\tTrue\t{"got": 203, "r": 3, "want": 203}
+oracle_equivalence\tTrue\t{"got": 1, "lambda": [], "mu": [], "nu": [], "want": 1}
+"""
+
+VERBOSE_LISTING = """\
+classes: 7  semistandard: 3  lattice: 2
+-0+1 -0+1 -0+1 -0+2 -0+2 -0+2 -0+3 -0+3 / 1,1,1,2,1,1,2,2  semistandard=True lattice=True size=30
+  rep: -0+1 -0+1 -0+1 -0+2 -0+2 -0+2 -0+3 -0+3  shapes: 3,1 4,1 5,1 6,1 6,2 6,3 6,4 6,4,1 6,4,2
+-0+1 -0+1 -0+1 -0+2 -0+2 -0+2 -0+3 -0+3 / 1,1,1,2,2,1,2,1  semistandard=True lattice=True size=60
+  rep: -0+1 -0+1 -0+1 -0+2 -0+3 -0+2 -0+2 -0+3  shapes: 3,1 4,1 5,1 6,1 6,2 6,2,1 6,3,1 6,4,1 6,4,2
+-0+1 -0+1 -0+1 -0+2 -0+2 -0+2 -0+3 -0+3 / 2,1,1,1,1,1,2,2  semistandard=False lattice=False size=27
+  rep: -0+1 -0+1 -0+2 -0+2 -0+2 -0+1 -0+3 -0+3  shapes: 3,1 4,1 5,1 5,2 5,3 5,4 6,4 6,4,1 6,4,2
+-0+1 -0+1 -0+1 -0+2 -0+2 -0+2 -0+3 -0+3 / 2,1,1,2,1,1,2,1  semistandard=True lattice=False size=180
+  rep: -0+1 -0+1 -0+2 -0+2 -0+3 -0+1 -0+2 -0+3  shapes: 3,1 4,1 5,1 5,2 5,3 5,3,1 6,3,1 6,4,1 6,4,2
+-0+1 -0+1 -0+1 -0+2 -0+2 -0+2 -0+3 -0+3 / 2,1,1,2,2,1,1,1  semistandard=False lattice=False size=60
+  rep: -0+1 -0+1 -0+2 -0+3 -0+3 -0+1 -0+2 -0+2  shapes: 3,1 4,1 5,1 5,2 5,2,1 5,2,2 6,2,2 6,3,2 6,4,2
+-0+1 -0+1 -0+1 -0+2 -0+2 -0+2 -0+3 -0+3 / 2,2,1,1,1,1,2,1  semistandard=False lattice=False size=45
+  rep: -0+1 -0+2 -0+2 -0+2 -0+3 -0+1 -0+1 -0+3  shapes: 3,1 4,1 4,2 4,3 4,4 4,4,1 5,4,1 6,4,1 6,4,2
+-0+1 -0+1 -0+1 -0+2 -0+2 -0+2 -0+3 -0+3 / 2,2,1,2,1,1,1,1  semistandard=False lattice=False size=75
+  rep: -0+1 -0+2 -0+2 -0+3 -0+3 -0+1 -0+1 -0+2  shapes: 3,1 4,1 4,2 4,3 4,3,1 4,3,2 5,3,2 6,3,2 6,4,2
+"""
 
 
 class TestCoeff:
@@ -93,6 +123,12 @@ class TestTableaux:
         result = run_ok("tableaux", "7", "6", "6", "--emit", "json")
         assert len(json.loads(result.output)["classes"]) == 3
 
+    def test_verbose_listing(self):
+        # each class line is followed by its representative's steps and
+        # the shapes it passes through
+        result = run_ok("tableaux", "3,1", "6,4,2", "5,3", "--verbose")
+        assert result.output == VERBOSE_LISTING
+
 
 class TestClassify:
     def test_tsv(self):
@@ -153,6 +189,28 @@ class TestVerify:
 
     def test_vacuous_bounds_pass(self):
         assert run("verify", "--max-size", "0", "--max-s", "0").exit_code == 0
+
+    def test_tsv_rows(self):
+        result = run_ok("verify", "--max-size", "0", "--max-s", "0",
+                        "--thm33-r", "3", "--emit", "tsv")
+        assert result.output == VERIFY_TSV
+
+    def test_failed_check_exit_1(self, monkeypatch):
+        # a swap identity that never holds fails both thm33 records,
+        # whatever the output format
+        monkeypatch.setattr(diagalg, "verify_thm33", lambda t, k: False)
+        args = ("verify", "--max-size", "0", "--max-s", "0", "--thm33-r", "3")
+        failures = [{"cases": 39, "check": "thm33", "ok": False, "r": 3},
+                    {"cases": 4, "check": "thm33", "ok": False, "r": 2}]
+        result = run(*args)
+        assert result.exit_code == 1
+        assert result.output == "checks: 6  failures: 2\n" + "".join(
+            "FAIL " + json.dumps(rec, sort_keys=True) + "\n"
+            for rec in failures)
+        result = run(*args, "--emit", "json")
+        assert result.exit_code == 1
+        assert json.loads(result.output) == {"checks": 6,
+                                             "failures": failures}
 
 
 class TestDeterminism:

@@ -1,7 +1,8 @@
 """Tests for exact arithmetic in the diagram algebra.
 
-The descending Murphy element, the symmetrizer and the star flip live
-here, beside the only identities that use them.
+The descending Murphy element, the symmetrizer, the star flip and the
+generators s_k, p_k and p_(k+1/2) live here, beside the only identities
+and reference products that use them.
 """
 
 import random
@@ -12,12 +13,14 @@ from itertools import permutations, product
 import pytest
 
 from stablekron import diagalg
-from stablekron.branching import Tableau, enumerate_std, error_path, is_dvir, swap_adjacent
+from stablekron.branching import (
+    NotAPath, Tableau, enumerate_std, error_path, is_dvir, remove_box,
+    swap_adjacent,
+)
 from stablekron.diagalg import (
-    Diagram, Element, NotDvir, RankMismatch, SwapUndefined, branching_coeff,
-    dvir_diagram_check, e_half, e_int,
-    gen_p, gen_p_half, gen_s, maximal_path, multiply, murphy_u, s_range,
-    verify_thm33,
+    Diagram, Element, NotDvir, RankMismatch, SwapUndefined, _half_coeff,
+    _int_coeff, dvir_diagram_check, e_half, e_int, maximal_path, multiply,
+    murphy_u, s_range, verify_thm33,
 )
 from stablekron.partitions import partition, partitions_up_to, size
 
@@ -34,12 +37,14 @@ def element_star(u: Element) -> Element:
                          for (d, e), c in u.terms.items()})
 
 
-def murphy_d(t, r):
+def murphy_d(t):
     """The descending Murphy element: down coefficients, bottom level first."""
+    r = len(t.steps)
     out = Element.one(r)
-    for k in range(len(t.steps)):
-        out = (out * branching_coeff(t, k, "down", "first", r)
-               * branching_coeff(t, k, "down", "second", r))
+    for k, (a, b) in enumerate(t.steps):
+        lam, nu = t.shapes[k], t.shapes[k + 1]
+        out = (out * _int_coeff(k, lam, a, r)
+               * _half_coeff(k, remove_box(lam, a), nu, b, r))
     return out
 
 
@@ -53,7 +58,7 @@ def x_element(nu, r: int) -> Element:
     for row in partition(nu):
         blocks.append(list(range(pos, pos + row)))
         pos += row
-    young = Element.zero(r)
+    young = Element(r)
     for choice in product(*[list(permutations(b)) for b in blocks]):
         image = {j: j for j in range(1, r + 1)}
         for block, images in zip(blocks, choice):
@@ -225,16 +230,16 @@ class TestElements:
         p = Element.from_diagram(gen_p(1, 2))
         assert one + p - p == one
         assert 3 * p == p * 3
-        assert (p - p) == Element.zero(2)
+        assert (p - p) == Element(2)
 
     def test_one_diagram_at_two_powers_is_two_terms(self):
         p = Element.from_diagram(gen_p(1, 1))
         assert (p * p - p).terms == {(gen_p(1, 1), 1): 1, (gen_p(1, 1), 0): -1}
-        assert p * p - p * p == Element.zero(1)
+        assert p * p - p * p == Element(1)
 
     def test_integer_scaling(self):
         p = Element.from_diagram(gen_p(1, 2))
-        assert 0 * p == Element.zero(2)
+        assert 0 * p == Element(2)
         assert (3 * p).terms == {(gen_p(1, 2), 0): 3}
 
     def test_star_reverses_products(self):
@@ -264,6 +269,36 @@ class TestElements:
             assert one.__eq__(other) is NotImplemented
             assert one != other
         assert one == Element.from_diagram(Diagram.identity(2))
+
+
+# -- generators --------------------------------------------------------------
+
+
+def gen_s(k: int, r: int) -> Diagram:
+    """The transposition of strands k and k+1."""
+    if not 1 <= k <= r - 1:
+        raise IndexError(f"s_{k} needs 1 <= k <= r-1={r - 1}")
+    blocks = [(j, r + j) for j in range(1, r + 1) if j not in (k, k + 1)]
+    blocks += [(k, r + k + 1), (k + 1, r + k)]
+    return Diagram(r, blocks)
+
+
+def gen_p(k: int, r: int) -> Diagram:
+    """The diagram isolating strand k into two singletons."""
+    if not 1 <= k <= r:
+        raise IndexError(f"p_{k} needs 1 <= k <= r={r}")
+    blocks = [(j, r + j) for j in range(1, r + 1) if j != k]
+    blocks += [(k,), (r + k,)]
+    return Diagram(r, blocks)
+
+
+def gen_p_half(k: int, r: int) -> Diagram:
+    """The diagram merging strands k and k+1 into one 4-point block."""
+    if not 1 <= k <= r - 1:
+        raise IndexError(f"p_{k}+1/2 needs 1 <= k <= r-1={r - 1}")
+    blocks = [(j, r + j) for j in range(1, r + 1) if j not in (k, k + 1)]
+    blocks += [(k, k + 1, r + k, r + k + 1)]
+    return Diagram(r, blocks)
 
 
 def _generator_product(gens, r: int) -> Element:
@@ -359,36 +394,38 @@ def clear_caches():
         cached.cache_clear()
 
 
-def _reference_murphy_u(t, r):
+def _reference_murphy_u(t):
     """The ascending Murphy element as the uncached top-down product of
     the up coefficients."""
+    r = len(t.steps)
     out = Element.one(r)
-    for k in range(len(t.steps) - 1, -1, -1):
-        out = (out * branching_coeff(t, k, "up", "second", r)
-               * branching_coeff(t, k, "up", "first", r))
+    for k in range(r - 1, -1, -1):
+        (a, b), lam, nu = t.steps[k], t.shapes[k], t.shapes[k + 1]
+        out = (out * _int_coeff(k + 1, nu, b, r)
+               * _half_coeff(k, remove_box(lam, a), lam, a, r))
     return out
 
 
 class TestMurphyElements:
     def test_requires_empty_start(self):
         with pytest.raises(ValueError):
-            murphy_u(Tableau((1,), [(0, 1)]), 2)
+            murphy_u(Tableau((1,), [(0, 1)]))
 
     def test_requires_a_strand_per_step(self):
-        t = Tableau((), [(0, 1), (0, 1), (0, 2)])
-        assert murphy_u(t, 3) == _reference_murphy_u(t, 3)
-        for r in (0, 1, 2):
-            with pytest.raises(ValueError, match="below the 3 steps"):
-                murphy_u(t, r)
-        with pytest.raises(ValueError, match="below the 3 steps"):
-            verify_thm33(t, 1, 2)
+        # the rank is the number of steps, dummy steps included
+        for steps in ([], [(0, 1)], [(0, 1), (1, 0), (0, 0)],
+                      [(0, 1), (0, 1), (0, 2)]):
+            t = Tableau((), steps)
+            u = murphy_u(t)
+            assert u.r == len(steps) and u == _reference_murphy_u(t)
+        assert verify_thm33(t, 2)
 
     def test_matches_top_down_product(self):
         for r in range(1, 5):
             for nu in partitions_up_to(r):
                 for t in enumerate_std((), nu, r):
-                    want = _reference_murphy_u(t, r)
-                    assert murphy_u(t, r).terms == want.terms, t
+                    want = _reference_murphy_u(t)
+                    assert murphy_u(t).terms == want.terms, t
 
     def test_matches_union_find_products(self, monkeypatch):
         # equality gate for the label product and the factor cache:
@@ -416,7 +453,7 @@ class TestMurphyElements:
             gens = [Element.from_diagram(gen_s(k, r)) for k in range(1, r)]
             for nu in partitions_up_to(r):
                 for t in enumerate_std((), nu, r):
-                    u = murphy_u(t, r)
+                    u = murphy_u(t)
                     for k, s in enumerate(gens, start=1):
                         assert u.times_s(k) == u * s, (t, k)
                         cases += 1
@@ -432,14 +469,14 @@ class TestMurphyElements:
         r = 4
         paths = enumerate_std((), (2, 1), r)
         t, other = paths[0], paths[-1]
-        want = _reference_murphy_u(t, r)
-        u, v = murphy_u(t, r), murphy_u(other, r)
+        want = _reference_murphy_u(t)
+        u, v = murphy_u(t), murphy_u(other)
         s = Element.from_diagram(gen_s(1, r))
         # the arithmetic the sweeps do, then an in-place edit of the copy
         u * s, s * u, u.times_s(1), u + v, u - v, -u, 3 * u, element_star(u)
         u.terms.clear()
-        assert murphy_u(t, r) == want
-        assert murphy_u(other, r) == _reference_murphy_u(other, r)
+        assert murphy_u(t) == want
+        assert murphy_u(other) == _reference_murphy_u(other)
 
     def test_absorption_identity(self):
         # d of the special path absorbs into u of any path to the same
@@ -448,9 +485,9 @@ class TestMurphyElements:
             for nu in partitions_up_to(r):
                 sp = special_path(nu, r)
                 for t in enumerate_std((), nu, r):
-                    u = murphy_u(t, r)
-                    assert murphy_d(sp, r) * u == u
-                    assert u == x_element(nu, r) * element_star(murphy_d(t, r))
+                    u = murphy_u(t)
+                    assert murphy_d(sp) * u == u
+                    assert u == x_element(nu, r) * element_star(murphy_d(t))
 
     def test_star_duality(self):
         for r in (1, 2, 3):
@@ -458,14 +495,14 @@ class TestMurphyElements:
                 paths = enumerate_std((), nu, r)
                 for s in paths:
                     for t in paths:
-                        lhs = element_star(murphy_d(s, r) * murphy_u(t, r))
-                        assert lhs == murphy_d(t, r) * murphy_u(s, r)
+                        lhs = element_star(murphy_d(s) * murphy_u(t))
+                        assert lhs == murphy_d(t) * murphy_u(s)
 
     def test_northern_points_beyond_shape_are_singletons(self):
         for r in (1, 2, 3, 4):
             for nu in partitions_up_to(r):
                 for t in enumerate_std((), nu, r):
-                    u = murphy_u(t, r)
+                    u = murphy_u(t)
                     for d, _ in u.terms:
                         for pt in range(r + size(nu) + 1, 2 * r + 1):
                             assert (pt,) in d.blocks, (t, d)
@@ -479,7 +516,7 @@ class TestMurphyElements:
             paths = enumerate_std((), nu, r)
             for s in paths:
                 for t in paths:
-                    el = murphy_d(s, r) * murphy_u(t, r)
+                    el = murphy_d(s) * murphy_u(t)
                     vec = {}
                     for (d, e), c in el.terms.items():
                         vec[str(d)] = vec.get(str(d), 0) + c * n ** e
@@ -509,13 +546,13 @@ class TestSwapIdentity:
             for t in enumerate_std((), nu, 2):
                 if swap_adjacent(t, 1) is None:
                     continue
-                assert verify_thm33(t, 1, 2)
+                assert verify_thm33(t, 1)
 
     def test_dummy_correction_case(self):
         # a case where the rerouted correction path exists and is nonzero
         t = Tableau((), [(0, 1), (0, 1), (1, 0)])
         assert error_path(t, 2) is not None
-        assert verify_thm33(t, 2, 3)
+        assert verify_thm33(t, 2)
 
     def test_undefined_swap_raises(self):
         # from the empty partition a box in row 2 cannot come first
@@ -534,9 +571,9 @@ class TestRadicalDiagrams:
     def test_displayed_expansion(self):
         # the composed Murphy element of the displayed radical path
         # expands into exactly these four unit-coefficient diagrams
-        full = Tableau((), maximal_path((2, 1), 3).steps
+        full = Tableau((), maximal_path((2, 1)).steps
                        + self.RADICAL_PATH.steps)
-        u = murphy_u(full, 6)
+        u = murphy_u(full)
         expansion = {(str(d), e): c for (d, e), c in u.terms.items()}
         assert expansion == {
             ("{1,1'}{2,2'}{3,4,6}{5,3'}{4'}{5'}{6'}", 0): 1,
@@ -546,45 +583,57 @@ class TestRadicalDiagrams:
         }
 
     def test_maximal_path(self):
-        assert maximal_path((2, 1), 5).steps == (
-            ((0, 0),) * 2 + ((0, 1),) * 2 + ((0, 2),))
-        assert maximal_path((2, 1), 3).shapes[-1] == (2, 1)
-        for r in (0, 1, 2):
-            with pytest.raises(ValueError):
-                maximal_path((2, 1), r)
+        assert maximal_path((2, 1)).steps == ((0, 1),) * 2 + ((0, 2),)
+        assert maximal_path((2, 1)).shapes == ((), (1,), (2,), (2, 1))
+        assert maximal_path(()).steps == ()
 
     def test_displayed_path_passes(self):
         assert is_dvir(self.RADICAL_PATH) == 2
-        assert dvir_diagram_check((2, 1), (2, 1), 3, self.RADICAL_PATH)
+        assert dvir_diagram_check(self.RADICAL_PATH)
 
     def test_wrong_end_rejected(self):
+        # the end shape is read off the path, so a path ending below its
+        # start checks out on |lam| + s = 4 strands, and one stepping
+        # past the empty partition is not a path at all
         t = self.SHORT_RADICAL_PATH
-        assert is_dvir(t) == 1
-        assert dvir_diagram_check((1,), (), 3, t)
-        with pytest.raises(ValueError, match="is not a path"):
-            dvir_diagram_check((1,), (4, 4), 3, t)
+        assert is_dvir(t) == 1 and t.end == ()
+        assert dvir_diagram_check(t)
+        full = Tableau((), maximal_path(t.start).steps + t.steps)
+        assert murphy_u(full).r == 4
+        with pytest.raises(NotAPath, match="cannot step"):
+            Tableau(t.start, t.steps + ((1, 0),))
 
     def test_wrong_step_count_rejected(self):
-        for s in (1, 2, 4, 5):
-            with pytest.raises(ValueError, match="is not a path"):
-                dvir_diagram_check((1,), (), s, self.SHORT_RADICAL_PATH)
+        # the step count is read off the path: the shorter prefixes of
+        # the radical path are not radical, and longer radical paths are
+        # checked on their own number of strands
+        t = self.SHORT_RADICAL_PATH
+        for s in (0, 1, 2):
+            prefix = Tableau(t.start, t.steps[:s])
+            with pytest.raises(NotDvir):
+                dvir_diagram_check(prefix)
+        for last in ((0, 1), (0, 0)):
+            longer = Tableau(t.start, t.steps + (last,))
+            assert is_dvir(longer) is not None
+            assert dvir_diagram_check(longer)
+            full = Tableau((), maximal_path(t.start).steps + longer.steps)
+            assert murphy_u(full).r == 5
 
     def test_not_dvir_rejected(self):
         t = Tableau((2, 1), [(0, 1), (1, 0)])
         assert is_dvir(t) is None
         with pytest.raises(NotDvir):
-            dvir_diagram_check((2, 1), (2, 1), 2, t)
+            dvir_diagram_check(t)
 
     def test_dummy_position_gives_southern_singleton(self):
         # paths whose radical membership comes from a dummy step leave
         # the corresponding southern point isolated in every diagram
-        lam, s = (2,), 2
-        r = size(lam) + s
-        for t in enumerate_std(lam, (2,), s):
+        lam = (2,)
+        for t in enumerate_std(lam, (2,), 2):
             if is_dvir(t) != 0:
                 continue
-            full = Tableau((), maximal_path(lam, r - s).steps + t.steps)
-            u = murphy_u(full, r)
+            full = Tableau((), maximal_path(lam).steps + t.steps)
+            u = murphy_u(full)
             for k, st in enumerate(full.steps, start=1):
                 if st != (0, 0):
                     continue

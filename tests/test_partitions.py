@@ -6,7 +6,8 @@ from hypothesis import given, strategies as st
 from conftest import intersect, is_horizontal, pad
 
 from stablekron.partitions import (
-    NotAPartition, Undefined, contains, format_partition, in_bounds,
+    NotAPartition, Undefined, composition, contains, format_partition,
+    in_bounds,
     is_copieri, is_maximal_depth, minmax, parse_partition, part,
     partial_sum, partition, partitions_of, partitions_up_to, size,
     skew_diff_sizes,
@@ -41,6 +42,16 @@ class TestBasics:
         assert partial_sum((4, 2), 5) == 6
         with pytest.raises(ValueError):
             partial_sum((4, 2), -1)
+
+
+class TestComposition:
+    def test_strips_trailing_zeros_only(self):
+        assert composition((2, 0, 1, 0)) == (2, 0, 1)
+        assert composition((0, 0)) == ()
+
+    def test_negative_part_rejected(self):
+        with pytest.raises(NotAPartition):
+            composition((2, -1))
 
 
 class TestParsing:
@@ -151,6 +162,8 @@ class TestTripleClassification:
         assert not is_copieri((2, 1), (3, 3, 2), 5)
         # s = 0 is handled by the maximal-depth regime instead
         assert not is_copieri((2, 1), (2, 1), 0)
+        with pytest.raises(ValueError):
+            is_copieri((2, 1), (2, 1), -1)
 
     def test_is_maximal_depth(self):
         assert is_maximal_depth((4, 2), (5, 3, 1), 3)
@@ -169,6 +182,10 @@ class TestEnumeration:
     def test_reverse_lex_order(self):
         out = partitions_of(4)
         assert out == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+
+    def test_negative_size_rejected(self):
+        with pytest.raises(ValueError):
+            partitions_of(-1)
 
     def test_max_len(self):
         assert partitions_of(4, max_len=2) == [(4,), (3, 1), (2, 2)]

@@ -3,8 +3,8 @@
 A path alternates integral and half-integer levels: going down to a half
 level removes a box (or nothing, index 0), coming back up adds a box (or
 nothing).  An integral step is the pair (remove-row, add-row); a tableau
-is a start partition plus a sequence of integral steps all of whose
-intermediate shapes are partitions.
+is a sequence of integral steps and the partitions it visits, its start
+first.
 
 No call leaves a reference cycle behind: what a call builds and does not
 return is freed by reference counting as soon as it returns.
@@ -74,18 +74,19 @@ def _apply(shape, step: Step):
 
 
 class Tableau:
-    """A path in the branching graph: start shape plus integral steps.
+    """A path in the branching graph: its integral steps and the shapes
+    it visits, the start shape first.
 
-    Construction validates every intermediate shape (both the half-level
-    shape after the removal and the integral shape after the addition).
+    Construction from a start and steps validates every intermediate
+    shape (both the half-level shape after the removal and the integral
+    shape after the addition).
     """
 
-    __slots__ = ("start", "steps", "shapes")
+    __slots__ = ("steps", "shapes")
 
     def __init__(self, start, steps):
-        self.start = partition(start)
         self.steps = tuple((int(i), int(j)) for i, j in steps)
-        shapes = [self.start]
+        shapes = [partition(start)]
         for st in self.steps:
             cur = _apply(shapes[-1], st)
             if cur is None:
@@ -94,13 +95,17 @@ class Tableau:
         self.shapes = tuple(shapes)
 
     @classmethod
-    def _trusted(cls, start, steps, shapes):
-        """A tableau from a start, steps and shapes already validated."""
+    def _trusted(cls, steps, shapes):
+        """A tableau from steps and the shapes they visit, already
+        validated; its start is shapes[0]."""
         t = cls.__new__(cls)
-        t.start = start
         t.steps = steps
         t.shapes = shapes
         return t
+
+    @property
+    def start(self):
+        return self.shapes[0]
 
     @property
     def end(self):
@@ -120,7 +125,7 @@ class Tableau:
         return f"Tableau({self.start}, [{self.serialize()}])"
 
 
-def _extend(out, lam, steps, shapes, d, last, live, live_moves):
+def _extend(out, steps, shapes, d, last, live, live_moves):
     """Append to out every path through the prefix steps[:d], which
     visits shapes[:d + 1]; at depth last = s - 1, emit them in place."""
     shape = shapes[d]
@@ -130,12 +135,12 @@ def _extend(out, lam, steps, shapes, d, last, live, live_moves):
         new = Tableau.__new__
         for st, _ in moves:
             t = new(Tableau)
-            t.start, t.steps, t.shapes = lam, prefix + (st,), shared
+            t.steps, t.shapes = prefix + (st,), shared
             out.append(t)
         return
     for st, nxt in moves:
         steps[d], shapes[d + 1] = st, nxt
-        _extend(out, lam, steps, shapes, d + 1, last, live, live_moves)
+        _extend(out, steps, shapes, d + 1, last, live, live_moves)
 
 
 def enumerate_std(lam, nu, s: int) -> list[Tableau]:
@@ -150,12 +155,15 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
     a step is taken exactly when its shape's distance is at most the
     steps left after it, and every prefix visited extends to a path.
     Each shape's distance, and its live moves in step order for each
-    number of steps left, are memoized in dicts local to the call.
+    number of steps left, are memoized in dicts local to the call;
+    _extend reads the moves memo, and live_moves only fills it (no list
+    stored is empty, since every prefix visited extends to a path).
 
     The walk is _extend, a module-level recursion of depth s over one
     prefix in lists overwritten in place; it gets the memo and live_moves
     as arguments, so no function refers to itself.  Every live move after
-    s - 1 steps lands on nu, so the paths it ends share one shapes tuple.
+    s - 1 steps lands on nu, so the paths it ends share one shapes tuple,
+    whose first shape is their start lam.
     """
     if s < 0:
         raise ValueError("s must be non-negative")
@@ -173,30 +181,27 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
 
     def live_moves(shape, remaining):
         """The moves from shape, in step order, whose shape is at most
-        remaining - 1 steps from nu."""
-        key = (shape, remaining)
-        cands = live.get(key)
-        if cands is None:
-            cands = []
-            for i in range(0, len(shape) + 1):
-                half = remove_box(shape, i)
-                if half is None:
-                    continue
-                for j in range(0, len(half) + 2):
-                    nxt = add_box(half, j)
-                    if nxt is not None and distance(nxt) < remaining:
-                        cands.append(((i, j), nxt))
-            cands.sort(key=lambda c: step_key(c[0]))
-            live[key] = cands
+        remaining - 1 steps from nu, stored in live."""
+        cands = []
+        for i in range(0, len(shape) + 1):
+            half = remove_box(shape, i)
+            if half is None:
+                continue
+            for j in range(0, len(half) + 2):
+                nxt = add_box(half, j)
+                if nxt is not None and distance(nxt) < remaining:
+                    cands.append(((i, j), nxt))
+        cands.sort(key=lambda c: step_key(c[0]))
+        live[shape, remaining] = cands
         return cands
 
     if distance(lam) > s:
         return out
     if s == 0:
-        out.append(Tableau._trusted(lam, (), (lam,)))
+        out.append(Tableau._trusted((), (lam,)))
         return out
     shapes = [lam] * s + [nu]
-    _extend(out, lam, [(0, 0)] * (s - 1), shapes, 0, s - 1, live, live_moves)
+    _extend(out, [(0, 0)] * (s - 1), shapes, 0, s - 1, live, live_moves)
     return out
 
 
@@ -262,14 +267,16 @@ def swap_adjacent(t: Tableau, k: int):
     if mid is None or _apply(mid, second) is None:
         return None
     return Tableau._trusted(
-        t.start, t.steps[:k - 1] + (first, second) + t.steps[k + 1:],
+        t.steps[:k - 1] + (first, second) + t.steps[k + 1:],
         t.shapes[:k] + (mid,) + t.shapes[k + 1:])
 
 
 def error_path(t: Tableau, k: int):
     """The path replacing an add-then-remove round trip in row u > 0
     spanning levels k and k+1 by the same round trip in the fresh row
-    L = len(t(k - 1/2)) + 1; None when the pattern is absent."""
+    L = len(t(k - 1/2)) + 1; None when the pattern is absent.  Both
+    round trips return to t(k - 1/2), so the error path keeps every
+    shape of t but shape k, which is t(k - 1/2) plus a box in row L."""
     if not 1 <= k <= len(t.steps):
         raise IndexError(f"k={k} out of range for a path of length {len(t.steps)}")
     if k == len(t.steps):
@@ -280,10 +287,6 @@ def error_path(t: Tableau, k: int):
         return None
     half = remove_box(t.shapes[k - 1], i1)
     new_row = len(half) + 1
-    steps = list(t.steps)
-    steps[k - 1] = (i1, new_row)
-    steps[k] = (new_row, j2)
-    try:
-        return Tableau(t.start, steps)
-    except NotAPath:
-        return None
+    return Tableau._trusted(
+        t.steps[:k - 1] + ((i1, new_row), (new_row, j2)) + t.steps[k + 1:],
+        t.shapes[:k] + (half + (1,),) + t.shapes[k + 1:])

@@ -19,7 +19,7 @@ from . import branching, lr, oracle, partitions, tableaux, verify
 from .partitions import NotAPartition
 
 
-def _parse(text: str):
+def _parse(ctx, param, text: str):
     try:
         return partitions.parse_partition(text)
     except NotAPartition as exc:
@@ -74,11 +74,19 @@ def main():
     """Stable Kronecker coefficients via Kronecker tableaux."""
 
 
-@main.command("coeff")
-@click.argument("lam")
-@click.argument("nu")
-@click.argument("mu")
-@emit_option
+def triple_command(name: str):
+    """Declare the command `name` on the partitions LAM, NU, MU, each
+    parsed by _parse as click reads it, with --emit before its own
+    options."""
+    def decorate(f):
+        f = emit_option(f)
+        for arg in ("mu", "nu", "lam"):
+            f = click.argument(arg, callback=_parse)(f)
+        return main.command(name)(f)
+    return decorate
+
+
+@triple_command("coeff")
 @click.option("--fallback-oracle", is_flag=True,
               help="Route non-co-Pieri, non-maximal-depth triples to the "
                    "character oracle.")
@@ -87,7 +95,6 @@ def main():
 @click.option("--verbose", is_flag=True)
 def cmd_coeff(lam, nu, mu, emit, fallback_oracle, n_cap, verbose):
     """Compute the stable Kronecker coefficient of LAM, NU, MU."""
-    lam, nu, mu = _parse(lam), _parse(nu), _parse(mu)
     record = _triple_record(lam, nu, mu)
     try:
         value = tableaux.stable_kronecker(lam, nu, mu)
@@ -111,15 +118,10 @@ def cmd_coeff(lam, nu, mu, emit, fallback_oracle, n_cap, verbose):
     _emit(record, emit, lines)
 
 
-@main.command("tableaux")
-@click.argument("lam")
-@click.argument("nu")
-@click.argument("mu")
-@emit_option
+@triple_command("tableaux")
 @click.option("--verbose", is_flag=True, help="Interleave shapes in text output.")
 def cmd_tableaux(lam, nu, mu, emit, verbose):
     """List the weight-MU classes of standard tableaux from LAM to NU."""
-    lam, nu, mu = _parse(lam), _parse(nu), _parse(mu)
     classes = tableaux.mu_classes(lam, nu, mu)
     entries = []
     sstd = latt = 0
@@ -151,14 +153,9 @@ def cmd_tableaux(lam, nu, mu, emit, verbose):
     _emit(record, emit, lines)
 
 
-@main.command("classify")
-@click.argument("lam")
-@click.argument("nu")
-@click.argument("mu")
-@emit_option
+@triple_command("classify")
 def cmd_classify(lam, nu, mu, emit):
     """Report which counting regimes cover the triple LAM, NU, MU."""
-    lam, nu, mu = _parse(lam), _parse(nu), _parse(mu)
     a, b = partitions.skew_diff_sizes(lam, nu)
     record = _triple_record(lam, nu, mu)
     record.update({
@@ -172,16 +169,11 @@ def cmd_classify(lam, nu, mu, emit):
     _emit(record, emit, lines)
 
 
-@main.command("oracle")
-@click.argument("lam")
-@click.argument("nu")
-@click.argument("mu")
-@emit_option
+@triple_command("oracle")
 @click.option("--n-cap", type=int, default=None)
 @click.option("--report-onset", is_flag=True)
 def cmd_oracle(lam, nu, mu, emit, n_cap, report_onset):
     """Compute the stable coefficient by the character oracle."""
-    lam, nu, mu = _parse(lam), _parse(nu), _parse(mu)
     try:
         result = oracle.stable_kronecker_oracle(lam, nu, mu, n_cap=n_cap)
         record = {"value": str(result.value), "onset_n": result.onset,
@@ -195,14 +187,9 @@ def cmd_oracle(lam, nu, mu, emit, n_cap, report_onset):
     _emit(record, emit, lines)
 
 
-@main.command("lr")
-@click.argument("lam")
-@click.argument("nu")
-@click.argument("mu")
-@emit_option
+@triple_command("lr")
 def cmd_lr(lam, nu, mu, emit):
     """Littlewood-Richardson coefficient for NU/LAM of weight MU."""
-    lam, nu, mu = _parse(lam), _parse(nu), _parse(mu)
     try:
         value = lr.classical_lr(lam, nu, mu)
     except lr.ShapeMismatch as exc:
@@ -214,11 +201,12 @@ def cmd_lr(lam, nu, mu, emit):
 
 @main.command("verify")
 @emit_option
-@click.option("--max-size", type=int, default=4, show_default=True,
-              help="Bound on |lambda|, |nu| in the sweeps.")
-@click.option("--max-s", type=int, default=4, show_default=True,
-              help="Bound on |mu| in the sweeps.")
-@click.option("--thm33-r", type=int, default=2, show_default=True,
+@click.option("--max-size", type=click.IntRange(min=0), default=4,
+              show_default=True, help="Bound on |lambda|, |nu| in the sweeps.")
+@click.option("--max-s", type=click.IntRange(min=0), default=4,
+              show_default=True, help="Bound on |mu| in the sweeps.")
+@click.option("--thm33-r", type=click.IntRange(min=0), default=2,
+              show_default=True,
               help="Verify the swap identity exhaustively up to this rank.")
 @click.option("--n-cap", type=int, default=None)
 def cmd_verify(emit, max_size, max_s, thm33_r, n_cap):

@@ -27,9 +27,11 @@ cached element.
 
 from __future__ import annotations
 
-from functools import lru_cache
+from functools import lru_cache, reduce
 
-from .branching import Tableau, error_path, is_dvir, remove_box, swap_adjacent
+from .branching import (
+    Tableau, _apply, add_box, error_path, is_dvir, remove_box, swap_adjacent,
+)
 from .partitions import part, partial_sum, partition, size
 
 
@@ -320,14 +322,17 @@ def murphy_u(t: Tableau) -> Element:
 @lru_cache(maxsize=MURPHY_CACHE_SIZE)
 def _murphy_prefix(steps, r: int) -> Element:
     """The product of the up coefficients of a path from the empty
-    partition taking `steps`, bottom level last, on r strands."""
+    partition taking `steps`, bottom level last, on r strands.  The
+    steps are a valid path's, so its last two shapes come from stepping
+    box moves through them, unchecked."""
     if not steps:
         return Element.one(r)
     k = len(steps) - 1
-    lam, nu = Tableau((), steps).shapes[k:]
+    lam = reduce(_apply, steps[:k], ())
     a, b = steps[k]
-    level = (_int_coeff(k + 1, nu, b, r)
-             * _half_coeff(k, remove_box(lam, a), lam, a, r))
+    mid = remove_box(lam, a)
+    level = (_int_coeff(k + 1, add_box(mid, b), b, r)
+             * _half_coeff(k, mid, lam, a, r))
     return level * _murphy_prefix(steps[:-1], r)
 
 
@@ -351,10 +356,9 @@ def verify_thm33(t: Tableau, k: int) -> bool:
 
 def maximal_path(nu) -> Tableau:
     """The path from the empty partition filling nu row by row."""
-    steps = []
-    for row, count in enumerate(partition(nu), start=1):
-        steps += [(0, row)] * count
-    return Tableau((), steps)
+    return Tableau((), [(0, row) for row, count
+                        in enumerate(partition(nu), start=1)
+                        for _ in range(count)])
 
 
 def dvir_diagram_check(t: Tableau) -> bool:

@@ -77,7 +77,7 @@ def _form_classes(std0, mu) -> list[SemistandardClass]:
             cid = component.get((start, steps))
             if cid is None:
                 cid = len(component)  # fresh: each labelling adds keys
-                seg = Tableau._trusted(start, steps, t.shapes[a:b + 1])
+                seg = Tableau._trusted(steps, t.shapes[a:b + 1])
                 for order in _swap_component(seg):
                     component[start, order] = cid
             ids.append(cid)

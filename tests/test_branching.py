@@ -117,6 +117,23 @@ class TestTableau:
         t = Tableau((), [(0, 1), (1, 0)])
         assert t.serialize() == "-0+1 -1+0"
 
+    def test_start_is_first_shape(self):
+        # a path holds its steps and shapes only; the start is read off
+        # the shapes, so it is canonical and cannot be set apart from them
+        t = Tableau((3, 0), [])
+        assert t.start == (3,) and t.shapes == ((3,),)
+        with pytest.raises(AttributeError):
+            t.start = (2,)
+        assert Tableau.__slots__ == ("steps", "shapes")
+        for lam, nu, s in [((2, 1), (2, 1), 3), ((), (1,), 3), ((3,), (2,), 3)]:
+            for t in enumerate_std(lam, nu, s):
+                assert t.start == t.shapes[0] == lam
+                for k in range(1, s + 1):
+                    for other in (swap_adjacent(t, k) if k < s else None,
+                                  error_path(t, k)):
+                        if other is not None:
+                            assert other.start == other.shapes[0] == lam
+
 
 class TestEnumeration:
     def test_two_step_loop(self):
@@ -330,6 +347,30 @@ class TestErrorPaths:
         assert error_path(t, 2) is None
         with pytest.raises(IndexError):
             error_path(t, 3)
+
+    def test_matches_validated_rebuild(self):
+        # equality gate for building error paths from the shapes they
+        # keep: each equals its rebuild through the validating
+        # constructor, shapes included, and differs from t only at
+        # steps k, k+1 and shape k
+        found = 0
+        for lam in partitions_up_to(2):
+            for nu in partitions_up_to(4):
+                for s in range(1, 5):
+                    for t in enumerate_std(lam, nu, s):
+                        for k in range(1, s + 1):
+                            err = error_path(t, k)
+                            if err is None:
+                                continue
+                            built = Tableau(err.start, err.steps)
+                            assert err == built, (t, k)
+                            assert err.shapes == built.shapes, (t, k)
+                            assert err.steps[:k - 1] == t.steps[:k - 1]
+                            assert err.steps[k + 1:] == t.steps[k + 1:]
+                            assert err.shapes[:k] == t.shapes[:k]
+                            assert err.shapes[k + 1:] == t.shapes[k + 1:]
+                            found += 1
+        assert found > 1000
 
 
 def _swap_stays_out_of_radical(lam, nu, s):

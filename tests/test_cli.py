@@ -190,6 +190,13 @@ class TestVerify:
     def test_vacuous_bounds_pass(self):
         assert run("verify", "--max-size", "0", "--max-s", "0").exit_code == 0
 
+    def test_negative_bounds_exit_2(self):
+        # a negative bound would sweep nothing and pass vacuously
+        for option in ("--max-size", "--max-s", "--thm33-r"):
+            result = run("verify", option, "-1")
+            assert result.exit_code == 2, option
+            assert "checks:" not in result.output
+
     def test_tsv_rows(self):
         result = run_ok("verify", "--max-size", "0", "--max-s", "0",
                         "--thm33-r", "3", "--emit", "tsv")

@@ -619,6 +619,14 @@ class TestRadicalDiagrams:
             full = Tableau((), maximal_path(t.start).steps + longer.steps)
             assert murphy_u(full).r == 5
 
+    def test_identity_expansion_fails(self, monkeypatch):
+        # the check can fail: were the composed Murphy element the
+        # identity, the s = 3 southern points above r - s = 3 would each
+        # join a northern point, three blocks where at most two may
+        monkeypatch.setattr(diagalg, "murphy_u",
+                            lambda t: Element.one(len(t.steps)))
+        assert not dvir_diagram_check(self.RADICAL_PATH)
+
     def test_not_dvir_rejected(self):
         t = Tableau((2, 1), [(0, 1), (1, 0)])
         assert is_dvir(t) is None

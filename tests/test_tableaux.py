@@ -263,6 +263,27 @@ class TestClasses:
         assert set(valid) == set(reached) - set(seeds)
         assert len(calls) > len(valid)
 
+    def test_segments_start_at_their_first_shape(self, monkeypatch):
+        # a frame segment is cut from a path's steps and shapes alone:
+        # its start is the shape at the frame's cut, and it equals its
+        # rebuild through the validating constructor
+        segments = []
+
+        def recorded_component(seg):
+            segments.append(seg)
+            return swap_component(seg)
+
+        swap_component = tableaux._swap_component
+        monkeypatch.setattr(tableaux, "_swap_component", recorded_component)
+        std0 = enumerate_std0((3, 1), (6, 4, 2), 8)
+        tableaux._form_classes(std0, (5, 3))
+        starts = {t.shapes[0] for t in std0} | {t.shapes[5] for t in std0}
+        assert len(segments) > 2
+        for seg in segments:
+            assert seg.start == seg.shapes[0] and seg.start in starts
+            built = Tableau(seg.start, seg.steps)
+            assert seg == built and seg.shapes == built.shapes
+
     def test_valid_swaps_stay_non_radical(self):
         # a swap keeps the multiset of steps, so the radical filter
         # cannot tell a path from its valid swaps
@@ -570,6 +591,8 @@ class TestClassicalCoefficients:
         assert ssyt_count((2, 1), (2, 1)) == 1
         assert ssyt_count((1, 1), (2,)) == 0
         assert ssyt_count((3,), (3,)) == 1
+        # no filling when the sizes differ
+        assert ssyt_count((2,), (1,)) == 0
 
     def test_kostka_matches_reference(self):
         # equality gate for the strip recursion: the fillings of every

@@ -2,9 +2,10 @@
 classification, oracle cross-checks, and verification sweeps.
 
 Exit codes: 2 for unparsable input, 3 when the tableau rule does not
-apply and no oracle fallback was requested, 4 when the oracle needs an
-n above --n-cap (`coeff` and `verify`; `oracle` reports the cap and
-exits 0), 1 for verification failures.
+apply to a triple inside its s-range (outside it `coeff` prints 0) and
+no oracle fallback was requested, 4 when the oracle needs an n above
+--n-cap (`coeff` and `verify`; `oracle` reports the cap and exits 0),
+1 for verification failures.
 """
 
 from __future__ import annotations

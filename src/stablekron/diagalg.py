@@ -142,7 +142,8 @@ def multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
 
 class Element:
     """A finite integer combination of the terms n^e·d, for diagrams d of
-    one rank, stored as {(d, e): coefficient}."""
+    one rank, stored as {(d, e): coefficient}.  Elements add, subtract,
+    negate and multiply only with Elements of the same rank."""
 
     __slots__ = ("r", "terms")
 
@@ -180,8 +181,6 @@ class Element:
         return self + (-other)
 
     def __mul__(self, other):
-        if isinstance(other, int):
-            return Element(self.r, {de: c * other for de, c in self.terms.items()})
         if not isinstance(other, Element):
             return NotImplemented
         self._check(other)
@@ -206,11 +205,6 @@ class Element:
             labels[k - 1], labels[k] = labels[k], labels[k - 1]
             terms[tuple.__new__(Diagram, _first_seen(labels)), e] = c
         return Element(self.r, terms)
-
-    def __rmul__(self, other):
-        if isinstance(other, int):
-            return self * other
-        return NotImplemented
 
     def __eq__(self, other):
         if not isinstance(other, Element):

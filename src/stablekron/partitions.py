@@ -122,20 +122,16 @@ def is_maximal_depth(lam, nu, s: int) -> bool:
     return contains(lam, nu) and size(nu) == size(lam) + s
 
 
-def partitions_of(k: int, max_len=None) -> list[tuple[int, ...]]:
-    """All partitions of k (optionally length-bounded), reverse
-    lexicographic.  A fresh list each call, copied from an LRU cache of
-    the last PARTITIONS_CACHE_SIZE (k, max_len) enumerations."""
-    if k < 0:
-        raise ValueError("k must be non-negative")
-    return list(_partitions_of(k, max_len))
-
-
 PARTITIONS_CACHE_SIZE = 64
 
 
 @lru_cache(maxsize=PARTITIONS_CACHE_SIZE)
-def _partitions_of(k: int, max_len) -> tuple[tuple[int, ...], ...]:
+def partitions_of(k: int, max_len=None) -> tuple[tuple[int, ...], ...]:
+    """All partitions of k (optionally length-bounded), reverse
+    lexicographic.  The tuple is shared: an LRU cache keeps the last
+    PARTITIONS_CACHE_SIZE (k, max_len) enumerations."""
+    if k < 0:
+        raise ValueError("k must be non-negative")
     out: list[tuple[int, ...]] = []
 
     def rec(rem, largest, prefix):

@@ -186,17 +186,17 @@ def _tally(classes) -> tuple[int, int]:
 
 
 def stable_kronecker(lam, nu, mu) -> int:
-    """The stable Kronecker coefficient of (lam, nu, mu) by counting
-    latticed semistandard classes; only valid for co-Pieri or
-    maximal-depth triples."""
+    """The stable Kronecker coefficient of (lam, nu, mu): 0 outside the
+    s-range of (lam, nu) in any regime, and inside it the number of
+    latticed semistandard classes, for co-Pieri or maximal-depth triples."""
     lam = partition(lam)
     nu = partition(nu)
     mu = partition(mu)
     s = size(mu)
+    if not in_bounds(lam, nu, s):
+        return 0
     if not (is_maximal_depth(lam, nu, s) or is_copieri(lam, nu, s)):
         raise NotApplicable(f"({lam}, {nu}, s={s}) is neither co-Pieri "
                             "nor of maximal depth")
-    if not in_bounds(lam, nu, s):
-        return 0
     return count_latticed(lam, nu, mu)
 

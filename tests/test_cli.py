@@ -68,6 +68,11 @@ class TestCoeff:
     def test_not_applicable_exit_3(self):
         assert run("coeff", "3", "2,1", "2,1").exit_code == 3
 
+    def test_out_of_range_uncovered_triple_is_0(self):
+        # neither co-Pieri nor of maximal depth, but s = 0 is below the
+        # skew-size bound 1, so the coefficient is known without a rule
+        assert run_ok("coeff", "2", "1", "0").output == "0\n"
+
     def test_fallback_oracle(self):
         result = run_ok("coeff", "3", "2,1", "2,1", "--fallback-oracle",
                         "--emit", "json")

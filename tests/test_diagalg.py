@@ -229,18 +229,12 @@ class TestElements:
         one = Element.one(2)
         p = Element.from_diagram(gen_p(1, 2))
         assert one + p - p == one
-        assert 3 * p == p * 3
         assert (p - p) == Element(2)
 
     def test_one_diagram_at_two_powers_is_two_terms(self):
         p = Element.from_diagram(gen_p(1, 1))
         assert (p * p - p).terms == {(gen_p(1, 1), 1): 1, (gen_p(1, 1), 0): -1}
         assert p * p - p * p == Element(1)
-
-    def test_integer_scaling(self):
-        p = Element.from_diagram(gen_p(1, 2))
-        assert 0 * p == Element(2)
-        assert (3 * p).terms == {(gen_p(1, 2), 0): 3}
 
     def test_star_reverses_products(self):
         rng = random.Random(5)
@@ -257,12 +251,13 @@ class TestElements:
 
     def test_other_operands_are_not_implemented(self):
         # a diagram is a tuple, not an element: arithmetic with one, or
-        # with a non-int scalar, raises TypeError rather than reading the
-        # operand's attributes
+        # with any scalar, ints included, raises TypeError rather than
+        # reading the operand's attributes
         one, s = Element.one(2), gen_s(1, 2)
         for op in (lambda x, y: x + y, lambda x, y: x - y,
                    lambda x, y: x * y):
-            for x, y in ((one, s), (s, one), (one, 1.5), (one, "x")):
+            for x, y in ((one, s), (s, one), (one, 1.5), (one, "x"),
+                         (one, 3), (3, one)):
                 with pytest.raises(TypeError):
                     op(x, y)
         for other in (s, 1, None):
@@ -473,7 +468,7 @@ class TestMurphyElements:
         u, v = murphy_u(t), murphy_u(other)
         s = Element.from_diagram(gen_s(1, r))
         # the arithmetic the sweeps do, then an in-place edit of the copy
-        u * s, s * u, u.times_s(1), u + v, u - v, -u, 3 * u, element_star(u)
+        u * s, s * u, u.times_s(1), u + v, u - v, -u, element_star(u)
         u.terms.clear()
         assert murphy_u(t) == want
         assert murphy_u(other) == _reference_murphy_u(other)

@@ -174,32 +174,32 @@ class TestTripleClassification:
 
 class TestEnumeration:
     def test_counts(self):
-        assert partitions_of(0) == [()]
+        assert partitions_of(0) == ((),)
         assert len(partitions_of(4)) == 5
         assert len(partitions_of(10)) == 42
         assert len(partitions_of(20)) == 627
 
     def test_reverse_lex_order(self):
         out = partitions_of(4)
-        assert out == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
+        assert out == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
 
     def test_negative_size_rejected(self):
         with pytest.raises(ValueError):
             partitions_of(-1)
 
     def test_max_len(self):
-        assert partitions_of(4, max_len=2) == [(4,), (3, 1), (2, 2)]
+        assert partitions_of(4, max_len=2) == ((4,), (3, 1), (2, 2))
 
-    def test_returns_a_fresh_list(self):
-        # the enumeration is cached; a caller's edits must not reach it
+    def test_returns_the_shared_tuple(self):
+        # the enumeration is the cache itself; being a tuple, no caller
+        # can change it
         out = partitions_of(4)
-        out.append((9,))
-        out[0] = (0,)
-        assert partitions_of(4) == [(4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1)]
-        empty = partitions_of(0)
-        empty.clear()
-        assert partitions_of(0) == [()]
-        assert partitions_of(4, max_len=2) == [(4,), (3, 1), (2, 2)]
+        assert type(out) is tuple
+        assert partitions_of(4) is out
+        assert not hasattr(out, "append")
+        with pytest.raises(TypeError):
+            out[0] = (0,)
+        assert out == ((4,), (3, 1), (2, 2), (2, 1, 1), (1, 1, 1, 1))
 
     def test_partitions_up_to(self):
         pool = partitions_up_to(3)

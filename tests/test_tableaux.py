@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from itertools import accumulate, combinations, product
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from conftest import intersect, is_horizontal, prefix_lattice
 
@@ -20,9 +21,10 @@ from stablekron.branching import (
 from stablekron.lr import (
     LR_CACHE_SIZE, ShapeMismatch, classical_lr, ssyt_count,
 )
+from stablekron.oracle import stable_kronecker_oracle
 from stablekron.partitions import (
-    contains, is_copieri, is_maximal_depth, part, partial_sum, partition,
-    partitions_of, partitions_up_to, size,
+    contains, in_bounds, is_copieri, is_maximal_depth, part, partial_sum,
+    partition, partitions_of, partitions_up_to, size,
 )
 from stablekron import tableaux
 from stablekron.tableaux import (
@@ -450,7 +452,7 @@ class TestCounts:
                             or is_maximal_depth(lam, nu, s)):
                         continue
                     counts = class_counts(lam, nu, s)
-                    assert list(counts) == partitions_of(s)
+                    assert tuple(counts) == partitions_of(s)
                     for mu in partitions_of(s):
                         assert counts[mu] == (count_sstd(lam, nu, mu),
                                               count_latticed(lam, nu, mu))
@@ -477,6 +479,25 @@ class TestStableKronecker:
         # s above |lam| + |nu|
         assert stable_kronecker((1,), (1,), (3,)) == 0
 
+    def test_out_of_range_is_zero_in_any_regime(self):
+        # outside the s-range the coefficient is 0 whether or not a rule
+        # covers the triple; (2,), (1,), () is covered by neither
+        assert not is_copieri((2,), (1,), 0)
+        assert not is_maximal_depth((2,), (1,), 0)
+        assert stable_kronecker((2,), (1,), ()) == 0
+        pool = partitions_up_to(3)
+        checked = 0
+        for lam in pool:
+            for nu in pool:
+                for s in range(8):
+                    if in_bounds(lam, nu, s):
+                        continue
+                    for mu in partitions_of(s):
+                        assert stable_kronecker(lam, nu, mu) == 0 \
+                            == stable_kronecker_oracle(lam, nu, mu).value
+                        checked += 1
+        assert checked > 1000
+
     def test_empty_triple(self):
         assert stable_kronecker((), (), ()) == 1
 
@@ -493,6 +514,43 @@ class TestStableKronecker:
                         for mu in partitions_of(s):
                             assert stable_kronecker(lam, nu, mu) \
                                 == classical_lr(lam, nu, mu)
+
+
+# covered strata past the counting sweep's sizes, each cheap by the rule:
+# co-Pieri one-row lam and nu up to 10 with |mu| <= 6 (a co-Pieri s of 7
+# already takes up to 0.2 s a triple), and maximal-depth (lam, nu) with
+# |nu| <= 10
+COPIERI_STRATA = [((a,), (b,), s) for a in range(1, 11) for b in range(1, 11)
+                  for s in range(7)
+                  if is_copieri((a,), (b,), s) and in_bounds((a,), (b,), s)]
+MAXIMAL_DEPTH_STRATA = [(lam, nu, n - k) for n in range(11)
+                        for nu in partitions_of(n) for k in range(n + 1)
+                        for lam in partitions_of(k) if contains(lam, nu)]
+
+
+def _triples(strata):
+    """A stratum (lam, nu, s) with one partition mu of s."""
+    return st.sampled_from(strata).flatmap(
+        lambda t: st.tuples(st.just(t[0]), st.just(t[1]),
+                            st.sampled_from(partitions_of(t[2]))))
+
+
+class TestAgainstOracle:
+    def test_strata_counts(self):
+        assert len(COPIERI_STRATA) == 348
+        assert len(MAXIMAL_DEPTH_STRATA) == 2888
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_triples(COPIERI_STRATA))
+    def test_copieri_rule_matches_oracle(self, triple):
+        assert stable_kronecker(*triple) \
+            == stable_kronecker_oracle(*triple).value
+
+    @settings(max_examples=200, derandomize=True, deadline=None)
+    @given(_triples(MAXIMAL_DEPTH_STRATA))
+    def test_maximal_depth_rule_matches_oracle(self, triple):
+        assert stable_kronecker(*triple) \
+            == stable_kronecker_oracle(*triple).value
 
 
 def _skew_ssyt(outer, inner, weight):

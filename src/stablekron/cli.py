@@ -1,11 +1,12 @@
 """Command-line interface: coefficients, tableau listings, triple
 classification, oracle cross-checks, and verification sweeps.
 
-Exit codes: 2 for unparsable input, 3 when the tableau rule does not
-apply to a triple inside its s-range (outside it `coeff` prints 0) and
-no oracle fallback was requested, 4 when the oracle needs an n above
---n-cap (`coeff` and `verify`; `oracle` reports the cap and exits 0),
-1 for verification failures.
+Exit codes: 2 for unparsable input or a negative bound (every
+--n-cap, and verify's --max-size, --max-s and --thm33-r), 3 when the
+tableau rule does not apply to a triple inside its s-range (outside it
+`coeff` prints 0) and no oracle fallback was requested, 4 when the
+oracle needs an n above --n-cap (`coeff` and `verify`; `oracle` reports
+the cap and exits 0), 1 for verification failures.
 """
 
 from __future__ import annotations
@@ -91,7 +92,7 @@ def triple_command(name: str):
 @click.option("--fallback-oracle", is_flag=True,
               help="Route non-co-Pieri, non-maximal-depth triples to the "
                    "character oracle.")
-@click.option("--n-cap", type=int, default=None,
+@click.option("--n-cap", type=click.IntRange(min=0), default=None,
               help="Cap on n for the oracle fallback.")
 @click.option("--verbose", is_flag=True)
 def cmd_coeff(lam, nu, mu, emit, fallback_oracle, n_cap, verbose):
@@ -171,7 +172,7 @@ def cmd_classify(lam, nu, mu, emit):
 
 
 @triple_command("oracle")
-@click.option("--n-cap", type=int, default=None)
+@click.option("--n-cap", type=click.IntRange(min=0), default=None)
 @click.option("--report-onset", is_flag=True)
 def cmd_oracle(lam, nu, mu, emit, n_cap, report_onset):
     """Compute the stable coefficient by the character oracle."""
@@ -205,32 +206,31 @@ def cmd_lr(lam, nu, mu, emit):
 @click.option("--max-size", type=click.IntRange(min=0), default=4,
               show_default=True, help="Bound on |lambda|, |nu| in the sweeps.")
 @click.option("--max-s", type=click.IntRange(min=0), default=4,
-              show_default=True, help="Bound on |mu| in the sweeps.")
+              show_default=True, help="Bound on |mu| in the counting sweep.")
 @click.option("--thm33-r", type=click.IntRange(min=0), default=2,
               show_default=True,
               help="Verify the swap identity exhaustively up to this rank.")
-@click.option("--n-cap", type=int, default=None)
+@click.option("--n-cap", type=click.IntRange(min=0), default=None)
 def cmd_verify(emit, max_size, max_s, thm33_r, n_cap):
-    """Run the verification sweeps; exit 1 on any failure."""
+    """Run the verification sweeps; exit 1 on any failure.  The Bell
+    counts always cover ranks 1 to 3."""
     with _oracle_budget():
-        records = [*verify.bell_counts(min(3, max_s if max_s else 3)),
+        records = [*verify.bell_counts(3),
                    *verify.swap_identity(thm33_r),
                    *verify.counting_sweep(max_size, max_s, n_cap)]
     records.sort(key=lambda rec: json.dumps(rec, sort_keys=True))
     failures = [rec for rec in records if not rec["ok"]]
-    if emit == "json":
-        click.echo(json.dumps({"checks": len(records),
-                               "failures": failures}, sort_keys=True))
-    elif emit == "tsv":
+    if emit == "tsv":
         click.echo("check\tok\tdetail")
         for rec in records:
             detail = {k: v for k, v in rec.items() if k not in ("check", "ok")}
             click.echo(f"{rec['check']}\t{rec['ok']}\t"
                        + json.dumps(detail, sort_keys=True))
     else:
-        click.echo(f"checks: {len(records)}  failures: {len(failures)}")
-        for rec in failures:
-            click.echo("FAIL " + json.dumps(rec, sort_keys=True))
+        _emit({"checks": len(records), "failures": failures}, emit,
+              [f"checks: {len(records)}  failures: {len(failures)}"]
+              + ["FAIL " + json.dumps(rec, sort_keys=True)
+                 for rec in failures])
     if failures:
         sys.exit(1)
 

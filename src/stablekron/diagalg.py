@@ -50,10 +50,17 @@ class NotDvir(ValueError):
 # -- diagrams ----------------------------------------------------------------
 
 
-def _first_seen(labels) -> tuple[int, ...]:
-    """Renumber labels 0, 1, ... in order of first appearance."""
-    names: dict = {}
-    return tuple(names.setdefault(c, len(names)) for c in labels)
+def _first_seen(labels) -> list[int]:
+    """Renumber small non-negative int labels 0, 1, ... as they appear."""
+    name = [-1] * (max(labels, default=-1) + 1)
+    out = []
+    seen = 0
+    for c in labels:
+        if name[c] < 0:
+            name[c] = seen
+            seen += 1
+        out.append(name[c])
+    return out
 
 
 class Diagram(tuple):
@@ -109,11 +116,11 @@ def multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
     A union-find over the block labels, y's first and x's after them,
     joins y's northern point m with x's southern point m; each label
     points at its component, and a merge repoints the members of one.
-    The outer points, y's southern then x's northern, are renumbered in
-    order of first appearance through a list indexed by component.
-    Each merge leaves one component fewer, so the components that no
-    outer point reaches, the loops, number the labels less the merges
-    less the components the outer points reach."""
+    The outer points, y's southern then x's northern, are renumbered by
+    _first_seen, so the components they reach number the largest new
+    label plus one.  Each merge leaves one component fewer, so the
+    components that no outer point reaches, the loops, number the labels
+    less the merges less the components the outer points reach."""
     if len(x) != len(y):
         raise RankMismatch(f"ranks {x.r} and {y.r} differ")
     r = len(x) >> 1
@@ -128,15 +135,9 @@ def multiply(x: Diagram, y: Diagram) -> tuple[Diagram, int]:
                 comp[c] = a
             members[a] += members[b]
             merges += 1
-    name = [-1] * len(comp)
-    labels = []
-    reached = 0
-    for c in [comp[c] for c in y[:r]] + [comp[c + shift] for c in x[r:]]:
-        if name[c] < 0:
-            name[c] = reached
-            reached += 1
-        labels.append(name[c])
-    loops = len(comp) - merges - reached
+    labels = _first_seen([comp[c] for c in y[:r]]
+                         + [comp[c + shift] for c in x[r:]])
+    loops = len(comp) - merges - (max(labels, default=-1) + 1)
     return tuple.__new__(Diagram, labels), loops
 
 

@@ -19,11 +19,9 @@ class Undefined(ValueError):
 
 
 def partition(parts) -> tuple[int, ...]:
-    """Normalize `parts` to a partition tuple (strip trailing zeros)."""
-    p = tuple(int(x) for x in parts)
-    while p and p[-1] == 0:
-        p = p[:-1]
-    if any(x <= 0 for x in p):
+    """`parts` as a composition with positive, weakly decreasing parts."""
+    p = composition(parts)
+    if 0 in p:
         raise NotAPartition(f"{parts!r} has a non-positive part")
     if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
         raise NotAPartition(f"{parts!r} is not weakly decreasing")

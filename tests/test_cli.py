@@ -165,6 +165,14 @@ class TestOracle:
                         "--emit", "json")
         assert json.loads(result.output)["capped"] is True
 
+    def test_negative_n_cap_exit_2(self):
+        # a negative cap would cap every oracle call; 0 is still a cap
+        for args in (("coeff", "3", "2,1", "2,1", "--fallback-oracle"),
+                     ("oracle", "1", "0", "1")):
+            assert run(*args, "--n-cap", "-1").exit_code == 2, args
+        result = run_ok("oracle", "1", "0", "1", "--n-cap", "0")
+        assert result.output.startswith("capped")
+
     def test_report_onset_text(self):
         out = run_ok("oracle", "6,1", "4,3", "2,1", "--report-onset").output
         assert out.splitlines() == ["4", "onset_n: 17"]
@@ -197,10 +205,22 @@ class TestVerify:
 
     def test_negative_bounds_exit_2(self):
         # a negative bound would sweep nothing and pass vacuously
-        for option in ("--max-size", "--max-s", "--thm33-r"):
+        for option in ("--max-size", "--max-s", "--thm33-r", "--n-cap"):
             result = run("verify", option, "-1")
             assert result.exit_code == 2, option
             assert "checks:" not in result.output
+
+    def test_bell_records_ignore_max_s(self):
+        # the Bell counts cover ranks 1..3 whatever --max-s is, so a
+        # larger bound never means fewer checks
+        for max_s, checks in enumerate([4, 5, 7, 10, 15]):
+            rows = run_ok("verify", "--max-size", "0", "--max-s", str(max_s),
+                          "--thm33-r", "0", "--emit", "tsv"
+                          ).output.splitlines()[1:]
+            assert len(rows) == checks, max_s
+            bell = [json.loads(row.split("\t")[2])["r"]
+                    for row in rows if row.startswith("bell\t")]
+            assert sorted(bell) == [1, 2, 3], max_s
 
     def test_tsv_rows(self):
         result = run_ok("verify", "--max-size", "0", "--max-s", "0",

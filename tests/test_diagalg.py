@@ -215,6 +215,17 @@ class TestDiagrams:
             got, want = multiply(x, y), _reference_multiply(x, y)
             assert got[0].blocks == want[0].blocks and got[1] == want[1], (x, y)
 
+    def test_first_seen_matches_dict_renumbering(self):
+        # equality gate: the list-indexed renumbering equals a dict
+        # renumbering on every label tuple of length <= 6 over 0..5
+        def reference(labels):
+            names = {}
+            return tuple(names.setdefault(c, len(names)) for c in labels)
+        for k in range(7):
+            for labels in product(range(6), repeat=k):
+                assert tuple(diagalg._first_seen(labels)) == \
+                    reference(labels), labels
+
     def test_rank_mismatch(self):
         with pytest.raises(RankMismatch):
             multiply(gen_p(1, 1), gen_p(1, 2))

@@ -8,7 +8,7 @@ import gc
 import pytest
 
 from stablekron import cli, diagalg, lr, oracle, partitions, tableaux
-from stablekron.branching import enumerate_std, enumerate_std0
+from stablekron.branching import Tableau, enumerate_std, enumerate_std0
 
 CALLS = {
     # 1,485 paths, 30 of them outside the radical
@@ -22,6 +22,11 @@ CALLS = {
     "classical_lr": lambda: lr.classical_lr((2, 1), (4, 3, 2), (3, 2, 1)),
     "ssyt_count": lambda: lr.ssyt_count((3, 2), (2, 2, 1)),
     "partitions_of": lambda: partitions.partitions_of(7),
+    "dvir_diagram_check": lambda: diagalg.dvir_diagram_check(
+        Tableau((2, 1), [(2, 2), (0, 2), (2, 0)])),
+    "tableaux_listing": lambda: cli.main(
+        ["tableaux", "4", "5", "3,2", "--emit", "json"],
+        standalone_mode=False),
     "verify": lambda: cli.main(
         ["verify", "--max-size", "3", "--max-s", "3", "--thm33-r", "3",
          "--emit", "json"], standalone_mode=False),

@@ -1,5 +1,7 @@
 """Tests for the partition primitives."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -29,6 +31,32 @@ class TestBasics:
             partition([2, 3])
         with pytest.raises(NotAPartition):
             partition([3, -1])
+
+    def test_partition_matches_reference(self):
+        # equality gate: partition built on composition equals a
+        # standalone normalisation, the same tuple or NotAPartition in
+        # exactly the same cases, on every tuple of length <= 4 over
+        # -1..3 (only the message for a negative part differs)
+        def reference(parts):
+            p = tuple(int(x) for x in parts)
+            while p and p[-1] == 0:
+                p = p[:-1]
+            if any(x <= 0 for x in p):
+                raise NotAPartition(f"{parts!r} has a non-positive part")
+            if any(p[i] < p[i + 1] for i in range(len(p) - 1)):
+                raise NotAPartition(f"{parts!r} is not weakly decreasing")
+            return p
+
+        def outcome(f, parts):
+            try:
+                return f(parts)
+            except NotAPartition as exc:
+                return "negative" if -1 in parts else str(exc)
+
+        for k in range(5):
+            for parts in product(range(-1, 4), repeat=k):
+                assert outcome(partition, parts) == \
+                    outcome(reference, parts), parts
 
     def test_part_indexing(self):
         assert part((4, 2), 1) == 4

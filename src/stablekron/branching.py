@@ -12,7 +12,7 @@ return is freed by reference counting as soon as it returns.
 
 from __future__ import annotations
 
-from .partitions import part, partition, skew_diff_sizes
+from .partitions import part, partition, size, skew_diff_sizes
 
 Step = tuple[int, int]
 
@@ -154,10 +154,14 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
     nu in exactly that many steps, dummy steps using up any surplus.  So
     a step is taken exactly when its shape's distance is at most the
     steps left after it, and every prefix visited extends to a path.
-    Each shape's distance, and its live moves in step order for each
-    number of steps left, are memoized in dicts local to the call;
-    _extend reads the moves memo, and live_moves only fills it (no list
-    stored is empty, since every prefix visited extends to a path).
+    Adding a box lowers the distance by at most 1, so a removal whose
+    half-level shape is further from nu than the steps left is skipped
+    with its additions untried; on a maximal-depth walk (|nu| = |lam| +
+    s) every removal is.  Each shape's distance, and its live moves in
+    step order for each number of steps left, are memoized in dicts
+    local to the call; _extend reads the moves memo, and live_moves only
+    fills it (no list stored is empty, since every prefix visited
+    extends to a path).
 
     The walk is _extend, a module-level recursion of depth s over one
     prefix in lists overwritten in place; it gets the memo and live_moves
@@ -185,7 +189,8 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
         cands = []
         for i in range(0, len(shape) + 1):
             half = remove_box(shape, i)
-            if half is None:
+            # one addition lowers the distance by at most 1
+            if half is None or distance(half) > remaining:
                 continue
             for j in range(0, len(half) + 2):
                 nxt = add_box(half, j)
@@ -236,9 +241,14 @@ def enumerate_std0(lam, nu, s: int) -> list[Tableau]:
     path with a (0, 0) step is dropped, and any other walks its steps
     down a copy of the row capacities -- the start's parts, then 0 for
     every row a path of s steps can reach, up to len(lam) + s -- and is
-    dropped at the first row that goes negative.
+    dropped at the first row that goes negative.  A step changes the
+    size by -1, 0 or +1, so at maximal depth, |nu| = |lam| + s, every
+    step is (0, j) with j >= 1: the radical is empty and the paths are
+    returned without the pass.
     """
     paths = enumerate_std(lam, nu, s)
+    if size(nu) == size(lam) + s:
+        return paths
     # index 0 counts the steps that remove nothing, never more than s
     caps = [s, *partition(lam)] + [0] * s
     out = []

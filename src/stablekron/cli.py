@@ -172,7 +172,9 @@ def cmd_classify(lam, nu, mu, emit):
 
 
 @triple_command("oracle")
-@click.option("--n-cap", type=click.IntRange(min=0), default=None)
+@click.option("--n-cap", type=click.IntRange(min=0), default=None,
+              help="Largest n the stabilization check may reach; past "
+                   "it, the triple is reported as capped.")
 @click.option("--report-onset", is_flag=True)
 def cmd_oracle(lam, nu, mu, emit, n_cap, report_onset):
     """Compute the stable coefficient by the character oracle."""
@@ -210,7 +212,9 @@ def cmd_lr(lam, nu, mu, emit):
 @click.option("--thm33-r", type=click.IntRange(min=0), default=2,
               show_default=True,
               help="Verify the swap identity exhaustively up to this rank.")
-@click.option("--n-cap", type=click.IntRange(min=0), default=None)
+@click.option("--n-cap", type=click.IntRange(min=0), default=None,
+              help="Largest n the stabilization check may reach in the "
+                   "counting sweep; past it, verify exits 4.")
 def cmd_verify(emit, max_size, max_s, thm33_r, n_cap):
     """Run the verification sweeps; exit 1 on any failure.  The Bell
     counts always cover ranks 1 to 3."""

@@ -51,16 +51,9 @@ class NotDvir(ValueError):
 
 
 def _first_seen(labels) -> list[int]:
-    """Renumber small non-negative int labels 0, 1, ... as they appear."""
-    name = [-1] * (max(labels, default=-1) + 1)
-    out = []
-    seen = 0
-    for c in labels:
-        if name[c] < 0:
-            name[c] = seen
-            seen += 1
-        out.append(name[c])
-    return out
+    """Renumber labels 0, 1, ... in order of first appearance."""
+    names = {}
+    return [names.setdefault(c, len(names)) for c in labels]
 
 
 class Diagram(tuple):

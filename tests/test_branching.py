@@ -198,8 +198,10 @@ class TestEnumeration:
                     assert _as_lists(enumerate_std(lam, nu, s)) \
                         == _as_lists(_reference_enumerate_std(lam, nu, s)), \
                         (lam, nu, s)
-        # the three largest enumerations of the rule-copieri benchmark
-        for lam, nu, s in [((6,), (6,), 6), ((5,), (5,), 6), ((4,), (6,), 6)]:
+        # the three largest enumerations of the rule-copieri benchmark,
+        # and a maximal-depth walk, where every removal is dead
+        for lam, nu, s in [((6,), (6,), 6), ((5,), (5,), 6), ((4,), (6,), 6),
+                           ((2, 1), (6, 4, 3), 10)]:
             assert _as_lists(enumerate_std(lam, nu, s)) \
                 == _as_lists(_reference_enumerate_std(lam, nu, s)), (lam, nu, s)
 
@@ -270,6 +272,21 @@ class TestRadicalFilters:
                     assert args == (lam, nu, s)
                     expected = [t for t in paths if is_dvir(t) is None]
                     assert _as_lists(got) == _as_lists(expected), (lam, nu, s)
+
+    def test_enumerate_std0_at_maximal_depth(self):
+        # |nu| = |lam| + s: every step adds a box, so the radical is empty
+        # and enumerate_std0 returns all of enumerate_std, in order
+        for nu in partitions_up_to(7):
+            for lam in partitions_up_to(size(nu)):
+                if not contains(lam, nu):
+                    continue
+                s = size(nu) - size(lam)
+                got = enumerate_std0(lam, nu, s)
+                expected = [t for t in enumerate_std(lam, nu, s)
+                            if is_dvir(t) is None]
+                assert _as_lists(got) == _as_lists(expected), (lam, nu)
+                assert all(i == 0 and j >= 1
+                           for t in got for i, j in t.steps), (lam, nu)
 
     def test_enumerate_std0(self):
         # s below the skew bound: no standard paths at all

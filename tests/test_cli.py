@@ -173,6 +173,15 @@ class TestOracle:
         result = run_ok("oracle", "1", "0", "1", "--n-cap", "0")
         assert result.output.startswith("capped")
 
+    def test_n_cap_help(self):
+        # what the cap bounds, and what each command does past it
+        for command, past in (("oracle", "the triple is reported as capped."),
+                              ("verify", "verify exits 4.")):
+            text = " ".join(run_ok(command, "--help").output.split())
+            assert "Largest n the stabilization check may reach" in text, \
+                command
+            assert "past it, " + past in text, command
+
     def test_report_onset_text(self):
         out = run_ok("oracle", "6,1", "4,3", "2,1", "--report-onset").output
         assert out.splitlines() == ["4", "onset_n: 17"]

@@ -216,8 +216,8 @@ class TestDiagrams:
             assert got[0].blocks == want[0].blocks and got[1] == want[1], (x, y)
 
     def test_first_seen_matches_dict_renumbering(self):
-        # equality gate: the list-indexed renumbering equals a dict
-        # renumbering on every label tuple of length <= 6 over 0..5
+        # equality gate: _first_seen equals a dict renumbering on every
+        # label tuple of length <= 6 over 0..5
         def reference(labels):
             names = {}
             return tuple(names.setdefault(c, len(names)) for c in labels)

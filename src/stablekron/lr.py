@@ -2,17 +2,17 @@
 
 The Kostka count peels off the largest entries of a filling, which form
 a horizontal strip, and recurses through its cache on the shape left
-and the weight less its last part.  The Littlewood-Richardson count
-walks the cells of the skew shape in reverse reading order and places
-an entry only where the filling stays semistandard and the word read so
-far stays a lattice word, so it visits no filling that fails the
-lattice condition.  Its lattice test works on raw prefix counts, as in
-the definition, its strip test is its own, and the module depends only
-on `partitions`, so the cross-checks of the counting rule against these
-numbers share no code with the rule's own lattice scan or horizontal
-test.  Both counts are memoized in LRU caches bounded at LR_CACHE_SIZE
-arguments each.  The LR walk drops its self-reference on return, so no
-call leaves a reference cycle behind.
+and the weight less its last part.  One walk of a skew shape nu/lam
+gives every LR coefficient c^nu_{lam mu} at once: it places entries in
+reverse reading order only where the filling stays semistandard and
+its word stays a lattice word, and counts each filling under its
+content.  `classical_lr` reads one content off it, and the oracle reads
+them all.  The lattice test works on raw prefix counts, the strip test
+is the module's own, and the module depends only on `partitions`, so
+the cross-checks of the counting rule share no code with the rule's
+lattice scan or horizontal test.  Both caches are bounded at
+LR_CACHE_SIZE arguments, and the walk drops its self-reference on
+return, so no call leaves a reference cycle behind.
 """
 
 from __future__ import annotations
@@ -35,52 +35,52 @@ def classical_lr(lam, nu, mu) -> int:
     mu = partition(mu)
     if not contains(lam, nu) or size(nu) != size(lam) + size(mu):
         raise ShapeMismatch(f"need {lam} inside {nu} with size gap {size(mu)}")
-    return _classical_lr(lam, nu, mu)
+    return dict(_skew(lam, nu)).get(mu, 0)
 
 
 LR_CACHE_SIZE = 4096
 
 
 @lru_cache(maxsize=LR_CACHE_SIZE)
-def _classical_lr(lam, nu, mu) -> int:
-    """`classical_lr` on partition tuples already known to satisfy its
-    checks: lam inside nu and |nu| = |lam| + |mu|.
+def _skew(lam, nu) -> tuple:
+    """((mu, c^nu_{lam mu}), ...) over the contents mu with a nonzero
+    coefficient, for partition tuples lam inside nu.
 
     Walks the cells of nu/lam row by row from the top, each row right to
     left, and puts v in cell (i, j) (row i counted from 1) only if v is
     at most the entry to its right, greater than the entry above it,
-    v <= i, fewer than mu_v v's are placed, and v = 1 or fewer v's than
-    (v - 1)'s are placed.  The last two keep the word read so far a
-    lattice word of content at most mu; each completed walk is one
-    filling of content exactly mu, since the sizes agree."""
+    v <= i, and v = 1 or fewer v's than (v - 1)'s are placed.  The last
+    keeps the word read so far a lattice word, so each completed walk is
+    one filling, counted under its content.  The result is a tuple, as
+    the cache hands the same value to every caller."""
     cells = [(i, j) for i in range(len(nu))
              for j in range(nu[i] - 1, part(lam, i + 1) - 1, -1)]
-    count = [0] * (len(mu) + 1)  # count[v] for v >= 1; count[0] is unused
+    count = [0] * (len(nu) + 1)  # count[v] for v >= 1; count[0] is unused
     grid: dict[tuple[int, int], int] = {}
+    out: dict[tuple[int, ...], int] = {}
 
     def walk(pos):
         if pos == len(cells):
-            return 1
+            # a lattice word's counts do not increase with v
+            mu = tuple(x for x in count[1:] if x)
+            out[mu] = out.get(mu, 0) + 1
+            return
         i, j = cells[pos]
         # cells right of and above (i, j) come earlier in the walk, so a
         # skew cell there already holds its entry
-        top = min(i + 1, len(mu))
-        if j + 1 < nu[i]:
-            top = min(top, grid[(i, j + 1)])
+        top = grid[(i, j + 1)] if j + 1 < nu[i] else i + 1
         low = grid[(i - 1, j)] + 1 if i and j >= part(lam, i) else 1
-        leaves = 0
         for v in range(low, top + 1):
             placed = count[v]
-            if placed < mu[v - 1] and (v == 1 or placed < count[v - 1]):
+            if v == 1 or placed < count[v - 1]:
                 count[v] = placed + 1
                 grid[(i, j)] = v
-                leaves += walk(pos + 1)
+                walk(pos + 1)
                 count[v] = placed
-        return leaves
 
-    leaves = walk(0)
+    walk(0)
     del walk  # walk refers to itself through its closure
-    return leaves
+    return tuple(out.items())
 
 
 def ssyt_count(tau, mu) -> int:

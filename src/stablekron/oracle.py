@@ -9,17 +9,17 @@ Beads of empty rows are dropped, so each partition has one mask.
 Kronecker coefficients are evaluated by the class-weighted triple
 product.  The stable coefficient is evaluated by Littlewood's (1958)
 formula, which needs Kronecker coefficients only of partitions of
-k <= min(|lam|, |nu|, |mu|), and Littlewood-Richardson coefficients
-from `lr`:
+k <= min(|lam|, |nu|, |mu|), and the skew expansions of `lr`:
 
     gbar(lam, mu, nu) = sum over k, and alpha, beta, gamma of k, of
         g(alpha, beta, gamma) * sum over delta, eps, zeta of
         c^lam_{alpha delta eps} c^mu_{beta delta zeta} c^nu_{gamma eps zeta}
 
 with c^lam_{alpha delta eps} = sum over eta of c^lam_{alpha eta}
-c^eta_{delta eps}.  Characters, Kronecker and stable coefficients are
-memoized in LRU caches bounded at CHAR_CACHE_SIZE, KRON_CACHE_SIZE and
-STABLE_CACHE_SIZE arguments.
+c^eta_{delta eps}, read off one expansion of lam/alpha into every eta
+and one of eta/delta into every eps.  Characters, Kronecker and stable
+coefficients are memoized in LRU caches bounded at CHAR_CACHE_SIZE,
+KRON_CACHE_SIZE and STABLE_CACHE_SIZE arguments.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from functools import lru_cache
 from math import factorial
 
 from .partitions import contains, part, partition, partitions_of, size
-from .lr import _classical_lr
+from .lr import _skew
 
 
 class SizeMismatch(ValueError):
@@ -183,7 +183,9 @@ def _littlewood(lam, mu, nu) -> int:
     Littlewood's formula.  k fixes the sizes of delta, eps and zeta:
     2|delta| = |lam| + |mu| - |nu| - k, 2|eps| = |lam| + |nu| - |mu| - k
     and 2|zeta| = |mu| + |nu| - |lam| - k, so a k for which one of them
-    is negative or odd adds nothing."""
+    is negative or odd adds nothing.  For each k the three expansions
+    are joined on their shared delta, eps and zeta, and each (alpha,
+    beta, gamma) takes one Kronecker coefficient for its summed weight."""
     a, b, c = size(lam), size(mu), size(nu)
     total = 0
     for k in range(min(a, b, c) + 1):
@@ -211,24 +213,19 @@ def _expand(shape, k: int, d: int, e: int) -> dict:
     """{(alpha, delta, eps): c^shape_{alpha delta eps}} over partitions
     alpha of k, delta of d and eps of e, nonzero entries only, with
     c^shape_{alpha delta eps} = sum over eta of c^shape_{alpha eta}
-    c^eta_{delta eps}; |shape| = k + d + e."""
+    c^eta_{delta eps}; |shape| = k + d + e.  One walk of shape/alpha
+    gives every eta with its coefficient, and one walk of eta/delta
+    every eps."""
     rows = len(shape)
     out: dict = {}
     for alpha in partitions_of(k, rows):
         if not contains(alpha, shape):
             continue
-        for eta in partitions_of(d + e, rows):
-            if not contains(eta, shape):
-                continue
-            outer = _classical_lr(alpha, shape, eta)
-            if not outer:
-                continue
+        for eta, outer in _skew(alpha, shape):
             for delta in partitions_of(d, rows):
                 if not contains(delta, eta):
                     continue
-                for eps in partitions_of(e, rows):
-                    inner = _classical_lr(delta, eta, eps)
-                    if inner:
-                        key = (alpha, delta, eps)
-                        out[key] = out.get(key, 0) + outer * inner
+                for eps, inner in _skew(delta, eta):
+                    key = (alpha, delta, eps)
+                    out[key] = out.get(key, 0) + outer * inner
     return out

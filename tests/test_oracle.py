@@ -5,6 +5,9 @@ n for two equal consecutive values, `_padded_oracle` evaluates once at
 the Briand-Orellana-Rosas stabilization bound and checks the value at
 the next n, and `dvir_step` is the one-step recursion for a padded
 coefficient through skew terms and horizontal-strip additions.
+`_reference_expand` is the oracle's earlier LR expansion, which tries
+every candidate eta and eps and takes each coefficient from
+`classical_lr`.
 """
 
 import random
@@ -16,7 +19,7 @@ import pytest
 from conftest import is_horizontal, pad
 
 from stablekron import oracle
-from stablekron.lr import _classical_lr
+from stablekron.lr import classical_lr
 from stablekron.oracle import (
     BudgetExceeded, SizeMismatch, StableResult, kronecker, mn_character,
     stable_kronecker_oracle, z_order, _kronecker,
@@ -119,6 +122,15 @@ def p_set(n: int, mu):
     return out
 
 
+@lru_cache(maxsize=None)
+def _straight_terms(alpha, shape) -> dict:
+    """{tau: c^shape_{alpha tau}} over partitions tau of |shape| - |alpha|,
+    nonzero entries only, one `classical_lr` call per tau."""
+    terms = {tau: classical_lr(alpha, shape, tau)
+             for tau in partitions_of(size(shape) - size(alpha))}
+    return {tau: c for tau, c in terms.items() if c}
+
+
 def dvir_step(lam_n, nu_n, mu_n) -> int:
     """One step of the recursion for the padded coefficient: skew terms
     over common subshapes of size n - s minus the horizontal-strip
@@ -136,20 +148,13 @@ def dvir_step(lam_n, nu_n, mu_n) -> int:
     inter = partition(x for x in inter if x)
 
     total = 0
-    small = partitions_of(s)
     for alpha in partitions_of(n - s):
         if not contains(alpha, inter):
             continue
         # expand both skews into straight shapes of size s; alpha lies in
         # both shapes and |alpha| + s = n, so the LR checks always pass
-        lam_terms = {tau: _classical_lr(alpha, lam_n, tau) for tau in small}
-        nu_terms = {sig: _classical_lr(alpha, nu_n, sig) for sig in small}
-        for tau, c1 in lam_terms.items():
-            if c1 == 0:
-                continue
-            for sig, c2 in nu_terms.items():
-                if c2 == 0:
-                    continue
+        for tau, c1 in _straight_terms(alpha, lam_n).items():
+            for sig, c2 in _straight_terms(alpha, nu_n).items():
                 g = _kronecker(tau, sig, mu)
                 if g:
                     total += c1 * c2 * g
@@ -157,6 +162,32 @@ def dvir_step(lam_n, nu_n, mu_n) -> int:
         if beta != mu_n:
             total -= _kronecker(lam_n, nu_n, beta)
     return total
+
+
+def _reference_expand(shape, k: int, d: int, e: int) -> dict:
+    """{(alpha, delta, eps): c^shape_{alpha delta eps}}, nonzero entries
+    only, summed over every partition eta of d + e inside shape and
+    every partition eps of e, one `classical_lr` call per candidate."""
+    rows = len(shape)
+    out: dict = {}
+    for alpha in partitions_of(k, rows):
+        if not contains(alpha, shape):
+            continue
+        for eta in partitions_of(d + e, rows):
+            if not contains(eta, shape):
+                continue
+            outer = classical_lr(alpha, shape, eta)
+            if not outer:
+                continue
+            for delta in partitions_of(d, rows):
+                if not contains(delta, eta):
+                    continue
+                for eps in partitions_of(e, rows):
+                    inner = classical_lr(delta, eta, eps)
+                    if inner:
+                        key = (alpha, delta, eps)
+                        out[key] = out.get(key, 0) + outer * inner
+    return out
 
 
 @lru_cache(maxsize=None)
@@ -372,6 +403,20 @@ class TestStableOracle:
                 for mu in pool:
                     assert stable_kronecker_oracle(lam, nu, mu) \
                         == _padded_oracle(lam, nu, mu), (lam, nu, mu)
+
+    def test_expand_matches_reference(self):
+        # equality gate for the expansion by skew walks: every shape of
+        # size at most 8 and every split k + d + e of its size
+        cases = 0
+        for shape in partitions_up_to(8):
+            n = size(shape)
+            for k in range(n + 1):
+                for d in range(n - k + 1):
+                    args = (shape, k, d, n - k - d)
+                    assert oracle._expand(*args) == _reference_expand(*args), \
+                        args
+                    cases += 1
+        assert cases == 2106
 
     def test_only_small_kronecker_coefficients(self, monkeypatch,
                                                cold_memos):

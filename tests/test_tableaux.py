@@ -18,9 +18,8 @@ from conftest import intersect, is_horizontal, prefix_lattice
 from stablekron.branching import (
     Tableau, enumerate_std0, step_key, step_str, swap_adjacent,
 )
-from stablekron.lr import (
-    LR_CACHE_SIZE, ShapeMismatch, classical_lr, ssyt_count,
-)
+from stablekron import lr
+from stablekron.lr import ShapeMismatch, classical_lr, ssyt_count
 from stablekron.oracle import stable_kronecker_oracle
 from stablekron.partitions import (
     contains, in_bounds, is_copieri, is_maximal_depth, part, partial_sum,
@@ -606,22 +605,33 @@ def _reference_lr(lam, nu, mu) -> int:
 class TestClassicalCoefficients:
     def test_lr_matches_reference(self):
         # equality gate for the lattice-pruned walk: every LR triple
-        # with |nu| <= 8, more of them than its bounded cache holds
-        cases = 0
+        # with |nu| <= 8, and the whole expansion of each of the 862
+        # skew shapes nu/lam, so a spurious content key (not a
+        # partition, or an entry above its row) fails too
+        pairs = cases = 0
         for nn in range(9):
             for nu in partitions_of(nn):
                 for ln in range(nn + 1):
                     for lam in partitions_of(ln):
                         if not contains(lam, nu):
                             continue
+                        expected = {}
                         for mu in partitions_of(nn - ln):
-                            assert classical_lr(lam, nu, mu) \
-                                == _reference_lr(lam, nu, mu), (lam, nu, mu)
+                            ref = _reference_lr(lam, nu, mu)
+                            assert classical_lr(lam, nu, mu) == ref, \
+                                (lam, nu, mu)
+                            if ref:
+                                expected[mu] = ref
                             cases += 1
-        assert cases > LR_CACHE_SIZE
+                        expansion = lr._skew(lam, nu)
+                        assert isinstance(expansion, tuple)
+                        assert dict(expansion) == expected, (lam, nu)
+                        pairs += 1
+        assert (pairs, cases) == (862, 4136)
 
     def test_large_lr_count(self):
-        # 4,3,2,1 inside the staircase of 7: the walk prunes to 12 leaves
+        # 4,3,2,1 inside the staircase of 7: 12 of the walk's 1,868
+        # lattice fillings, spread over 113 contents, have this one
         assert classical_lr((4, 3, 2, 1), (7, 6, 5, 4, 3, 2, 1),
                             (4, 4, 3, 3, 2, 1, 1)) == 12
 

@@ -16,13 +16,12 @@ On the right, a transposition s_k only transposes the labels of
 southern points k and k+1 (Element.times_s).  The factors of the
 branching coefficients are single diagrams in closed form: e_int cuts
 strands into singletons, e_half merges strands into one block and
-s_range is a cycle of strands.  Each is built once per argument tuple
-in an LRU cache bounded at FACTOR_CACHE_SIZE and, being an immutable
-tuple, returned as it is.  A path of r steps from the empty partition
-fixes its Murphy element: the rank r and every shape its branching
-coefficients read.  The partial products of Murphy elements are cached
-the same way (MURPHY_CACHE_SIZE); murphy_u returns a fresh copy of the
-cached element.
+s_range is a cycle of strands.  A path of r steps from the empty
+partition fixes its Murphy element: the rank r and every shape its
+branching coefficients read.  Two LRU caches bounded at
+MURPHY_CACHE_SIZE hold its level products, keyed by (shape, step,
+level, rank), and its partial products, keyed by (step prefix, rank);
+murphy_u returns a fresh copy of the cached element.
 """
 
 from __future__ import annotations
@@ -211,9 +210,6 @@ class Element:
 
 # -- Murphy-basis building blocks -------------------------------------------
 
-FACTOR_CACHE_SIZE = 256
-
-
 def _strands_outside(lo: int, hi: int, r: int) -> list:
     """The identity strands (j, r+j) outside lo..hi, a range of strands
     that must lie in 1..r."""
@@ -222,7 +218,6 @@ def _strands_outside(lo: int, hi: int, r: int) -> list:
     return [(j, r + j) for j in range(1, r + 1) if not lo <= j <= hi]
 
 
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def e_int(k: int, l: int, r: int) -> Diagram:
     """p_(k-l+1) ... p_k: the identity strands, except that strands
     k-l+1..k are each cut into {j} and {r+j}."""
@@ -235,7 +230,6 @@ def e_int(k: int, l: int, r: int) -> Diagram:
     return Diagram(r, _strands_outside(lo, k, r) + cut)
 
 
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def e_half(k: int, l: int, r: int) -> Diagram:
     """p_(k-l+3/2) ... p_(k+1/2): the identity strands, except that
     strands k-l+1..k+1 share one block with their northern points."""
@@ -248,7 +242,6 @@ def e_half(k: int, l: int, r: int) -> Diagram:
     return Diagram(r, _strands_outside(lo, k + 1, r) + [merged])
 
 
-@lru_cache(maxsize=FACTOR_CACHE_SIZE)
 def s_range(l: int, k: int, r: int) -> Diagram:
     """The chain s_l s_(l+1) ... s_(k-1): the cycle taking southern point
     j to northern point j+1 for l <= j < k and k to l; when k < l, the
@@ -296,11 +289,12 @@ def murphy_u(t: Tableau) -> Element:
     on one strand per step: the product of up coefficients, top level
     first.
 
-    It is built bottom up, P_k = (up_second_k * up_first_k) * P_(k-1),
-    which by associativity equals the top-down product.  P_k depends
-    only on the first k+1 steps, so paths share their partial products
-    through one LRU cache bounded at MURPHY_CACHE_SIZE (step prefix,
-    rank) entries; each call returns a fresh copy of the cached element."""
+    It is built bottom up, P_k = L_k * P_(k-1) with the level product
+    L_k = up_second_k * up_first_k, which by associativity equals the
+    top-down product.  L_k depends only on shape_k, step_k, k and the
+    rank, and P_k only on the first k+1 steps, so paths share both
+    through LRU caches bounded at MURPHY_CACHE_SIZE entries; each call
+    returns a fresh copy of the cached element."""
     if t.start != ():
         raise ValueError("Murphy elements require paths from the empty partition")
     r = len(t.steps)
@@ -308,20 +302,26 @@ def murphy_u(t: Tableau) -> Element:
 
 
 @lru_cache(maxsize=MURPHY_CACHE_SIZE)
+def _level(lam, step, k: int, r: int) -> Element:
+    """up_second_k * up_first_k on r strands: the up coefficients of
+    level k (0-based) of a path that takes `step` from the shape lam."""
+    a, b = step
+    mid = remove_box(lam, a)
+    return (_int_coeff(k + 1, add_box(mid, b), b, r)
+            * _half_coeff(k, mid, lam, a, r))
+
+
+@lru_cache(maxsize=MURPHY_CACHE_SIZE)
 def _murphy_prefix(steps, r: int) -> Element:
-    """The product of the up coefficients of a path from the empty
+    """The product of the level products of a path from the empty
     partition taking `steps`, bottom level last, on r strands.  The
-    steps are a valid path's, so its last two shapes come from stepping
-    box moves through them, unchecked."""
+    steps are a valid path's, so the shape before its last step comes
+    from stepping box moves through them, unchecked."""
     if not steps:
         return Element.one(r)
     k = len(steps) - 1
-    lam = reduce(_apply, steps[:k], ())
-    a, b = steps[k]
-    mid = remove_box(lam, a)
-    level = (_int_coeff(k + 1, add_box(mid, b), b, r)
-             * _half_coeff(k, mid, lam, a, r))
-    return level * _murphy_prefix(steps[:-1], r)
+    return (_level(reduce(_apply, steps[:k], ()), steps[k], k, r)
+            * _murphy_prefix(steps[:-1], r))
 
 
 def verify_thm33(t: Tableau, k: int) -> bool:

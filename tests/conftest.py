@@ -1,12 +1,31 @@
 """Shared helpers and brute-force reference implementations for the
 test suite.
 
-Everything here is deliberately independent of the package internals:
-partition helpers that only the tests use, and alternative definitions
-used to cross-check the library code.
+Everything here but the memo helpers is deliberately independent of the
+package internals: partition helpers that only the tests use, and
+alternative definitions used to cross-check the library code.
 """
 
+import importlib
+import pkgutil
+
+import stablekron
 from stablekron.partitions import NotAPartition, contains, part, partition, size
+
+
+def memos() -> set:
+    """Every LRU-cached callable of the stablekron modules, found by its
+    cache_info."""
+    modules = [importlib.import_module(f"stablekron.{info.name}")
+               for info in pkgutil.iter_modules(stablekron.__path__)]
+    return {value for module in modules for value in vars(module).values()
+            if callable(getattr(value, "cache_info", None))}
+
+
+def clear_memos() -> None:
+    """Empty every memo of the package, so the next call runs cold."""
+    for memo in memos():
+        memo.cache_clear()
 
 
 def pad(lam, n: int) -> tuple[int, ...]:

@@ -12,6 +12,7 @@ from itertools import permutations, product
 
 import pytest
 
+from conftest import clear_memos
 from stablekron import diagalg
 from stablekron.branching import (
     NotAPath, Tableau, enumerate_std, error_path, is_dvir, remove_box,
@@ -394,12 +395,6 @@ def special_path(nu, r):
     return Tableau((), steps)
 
 
-def clear_caches():
-    for cached in (diagalg.e_int, diagalg.e_half, diagalg.s_range,
-                   diagalg._murphy_prefix):
-        cached.cache_clear()
-
-
 def _reference_murphy_u(t):
     """The ascending Murphy element as the uncached top-down product of
     the up coefficients."""
@@ -427,27 +422,33 @@ class TestMurphyElements:
         assert verify_thm33(t, 2)
 
     def test_matches_top_down_product(self):
-        for r in range(1, 5):
+        # equality gate for the level and prefix memos: every path from
+        # the empty partition with r <= 5, from cold memos
+        clear_memos()
+        paths = 0
+        for r in range(1, 6):
             for nu in partitions_up_to(r):
                 for t in enumerate_std((), nu, r):
                     want = _reference_murphy_u(t)
                     assert murphy_u(t).terms == want.terms, t
+                    paths += 1
+        assert paths == 1203
 
     def test_matches_union_find_products(self, monkeypatch):
-        # equality gate for the label product and the factor cache:
-        # every path from the empty partition with r <= 5, against Murphy
-        # elements built with the point-level union-find throughout
+        # equality gate for the label product: every path from the
+        # empty partition with r <= 5, against Murphy elements built with
+        # the point-level union-find throughout, each side from cold memos
         paths = [t for r in range(1, 6) for nu in partitions_up_to(r)
                  for t in enumerate_std((), nu, r)]
         assert len(paths) == 1203
-        clear_caches()
+        clear_memos()
         fast = [murphy_u(t).terms for t in paths]
         monkeypatch.setattr(diagalg, "multiply", _reference_multiply)
-        clear_caches()
+        clear_memos()
         try:
             slow = [murphy_u(t).terms for t in paths]
         finally:
-            clear_caches()
+            clear_memos()
         assert fast == slow
 
     def test_times_s_matches_product(self):

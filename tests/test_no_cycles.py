@@ -1,12 +1,14 @@
 """Every library call frees what it builds by reference counting: with
 the cyclic collector off, a call from cold memos leaves nothing for it
 to collect.  A recursive closure that refers to itself would keep its
-call's paths, memos and work lists alive until the next collection."""
+call's paths, memos and work lists alive until the next collection.
+Every memo is bounded, so what it keeps stays bounded too."""
 
 import gc
 
 import pytest
 
+from conftest import clear_memos, memos
 from stablekron import cli, diagalg, lr, oracle, partitions, tableaux
 from stablekron.branching import Tableau, enumerate_std, enumerate_std0
 
@@ -33,16 +35,9 @@ CALLS = {
 }
 
 
-def _clear_memos():
-    for module in (partitions, lr, oracle, diagalg, tableaux):
-        for value in vars(module).values():
-            if callable(getattr(value, "cache_clear", None)):
-                value.cache_clear()
-
-
 @pytest.mark.parametrize("name", list(CALLS))
 def test_call_leaves_no_cycles(name):
-    _clear_memos()
+    clear_memos()
     gc.collect()
     gc.disable()
     try:
@@ -50,3 +45,11 @@ def test_call_leaves_no_cycles(name):
         assert gc.collect() == 0
     finally:
         gc.enable()
+
+
+def test_every_memo_is_bounded():
+    # found in every module of the package, not only those imported here
+    found = memos()
+    assert {diagalg._level, diagalg._murphy_prefix, lr._skew} <= found
+    for memo in found:
+        assert memo.cache_info().maxsize is not None, memo.__qualname__

@@ -16,7 +16,7 @@ from math import factorial
 
 import pytest
 
-from conftest import is_horizontal, pad
+from conftest import clear_memos, is_horizontal, pad
 
 from stablekron import oracle
 from stablekron.lr import classical_lr
@@ -32,9 +32,9 @@ from stablekron.partitions import (
 
 @pytest.fixture
 def cold_memos():
-    """Empty the oracle's character, Kronecker and stable memos."""
-    for memo in (oracle._mn, oracle._class_sum, oracle._littlewood):
-        memo.cache_clear()
+    """Empty every memo, the oracle's character, Kronecker and stable
+    memos among them."""
+    clear_memos()
 
 
 def class_size(rho, n: int) -> int:

@@ -9,10 +9,16 @@ a lattice permutation.
 
 Classes are formed frame by frame.  A swap inside a frame changes only
 that frame's steps and interior shapes, and a swap keeps the multiset
-of steps, which is all the radical filter looks at.  So over the full
-non-radical path list of one (lam, nu, s), a class is the product of
-the swap components of its frame segments, and each distinct segment
-is swapped through once per weight instead of every whole path.
+of steps, which is all the radical filter looks at.  So over a path
+list closed under frame-interior swaps (the non-radical paths, or their
+semistandard ones) of one (lam, nu, s), a class is the product of the
+swap components of its frame segments, and each distinct segment is
+swapped through once per weight instead of every whole path.
+
+Semistandardness reads only the frame-boundary shapes, which no such
+swap changes, so it holds for all members of a class or for none.  The
+counts therefore form classes of the semistandard paths alone; the
+listing (mu_classes) still forms every class.
 """
 
 from __future__ import annotations
@@ -59,7 +65,8 @@ def mu_classes(lam, nu, mu) -> list[SemistandardClass]:
 def _form_classes(std0, mu) -> list[SemistandardClass]:
     """The weight-mu classes of std0, members and classes in std0 order.
 
-    std0 must be the full non-radical path list of one (lam, nu, s)
+    std0 must be a path list closed under frame-interior swaps (the
+    non-radical paths, or their semistandard ones) of one (lam, nu, s)
     with s = |mu|, so that every valid swap of a path in std0 is again
     in std0 and a class is a product of per-frame swap components.
     Each frame segment (start shape, steps) is swap-BFS'd on its first
@@ -107,14 +114,47 @@ def _swap_component(seg: Tableau) -> set[tuple]:
 
 
 def is_semistandard(cls: SemistandardClass) -> bool:
-    """True iff every pair of consecutive frame-boundary shapes has both
-    one-sided skews (relative to their intersection) horizontal."""
+    """True iff every pair of consecutive frame-boundary shapes passes
+    _horizontal_frame."""
     shapes = cls.boundary_shapes()
     for prev, cur in zip(shapes, shapes[1:]):
-        if not (_horizontal_over_meet(cur, prev)
-                and _horizontal_over_meet(prev, cur)):
+        if not _horizontal_frame(prev, cur):
             return False
     return True
+
+
+def _horizontal_frame(prev, cur) -> bool:
+    """True iff the frame from boundary shape prev to boundary shape cur
+    has both one-sided skews (relative to their intersection) horizontal."""
+    return (_horizontal_over_meet(cur, prev)
+            and _horizontal_over_meet(prev, cur))
+
+
+def _semistandard_paths(paths, mu, passes: dict) -> list:
+    """The paths whose every frame-boundary pair of weight mu passes
+    _horizontal_frame, in order.  A path is dropped at its first failing
+    frame.  passes memoizes the test per (previous, current) pair; the
+    caller keeps it for one call.  The result is closed under
+    frame-interior swaps whenever paths is, since a swap inside a frame
+    keeps every boundary shape."""
+    if not paths:
+        return paths
+    cuts = list(accumulate(mu))
+    kept = []
+    for t in paths:
+        shapes = t.shapes
+        prev = shapes[0]
+        for c in cuts:
+            cur = shapes[c]
+            ok = passes.get((prev, cur))
+            if ok is None:
+                ok = passes[prev, cur] = _horizontal_frame(prev, cur)
+            if not ok:
+                break
+            prev = cur
+        else:
+            kept.append(t)
+    return kept
 
 
 def _horizontal_over_meet(x, y) -> bool:
@@ -163,20 +203,30 @@ def class_flags(cls: SemistandardClass) -> tuple[bool, bool]:
 
 def count_sstd(lam, nu, mu) -> int:
     """Number of semistandard classes of weight mu."""
-    return _tally(mu_classes(lam, nu, mu))[0]
+    mu = composition(mu)
+    return _counts(enumerate_std0(lam, nu, size(mu)), mu, {})[0]
 
 
 def count_latticed(lam, nu, mu) -> int:
     """Number of semistandard classes whose frame row is a lattice word."""
-    return _tally(mu_classes(lam, nu, partition(mu)))[1]
+    mu = partition(mu)
+    return _counts(enumerate_std0(lam, nu, size(mu)), mu, {})[1]
 
 
 def class_counts(lam, nu, s: int) -> dict:
     """{mu: (count_sstd(lam, nu, mu), count_latticed(lam, nu, mu))} for
     every partition mu of s, from one enumeration of the non-radical
-    paths of (lam, nu, s) shared by all the weights."""
+    paths of (lam, nu, s) and one boundary-pair memo, both shared by
+    all the weights."""
     std0 = enumerate_std0(lam, nu, s)
-    return {mu: _tally(_form_classes(std0, mu)) for mu in partitions_of(s)}
+    passes: dict = {}
+    return {mu: _counts(std0, mu, passes) for mu in partitions_of(s)}
+
+
+def _counts(std0, mu, passes: dict) -> tuple[int, int]:
+    """_tally of the weight-mu classes of std0, formed from its
+    semistandard paths only: the other classes add nothing to it."""
+    return _tally(_form_classes(_semistandard_paths(std0, mu, passes), mu))
 
 
 def _tally(classes) -> tuple[int, int]:

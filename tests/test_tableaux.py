@@ -30,6 +30,7 @@ from stablekron.tableaux import (
     NotApplicable, SemistandardClass, class_counts, count_latticed,
     count_sstd, good_mask, is_lattice, is_semistandard, mu_classes,
     reading_word, stable_kronecker, _form_classes, _horizontal_over_meet,
+    _semistandard_paths, _tally,
 )
 
 
@@ -455,6 +456,70 @@ class TestCounts:
                     for mu in partitions_of(s):
                         assert counts[mu] == (count_sstd(lam, nu, mu),
                                               count_latticed(lam, nu, mu))
+
+    def test_semistandard_prefilter_keeps_every_count(self, monkeypatch):
+        # equality gate for counting the classes of the semistandard paths
+        # only: the reference tallies every class of the non-radical paths.
+        # Each path list is enumerated once and shared by every call.
+        paths = {}
+
+        def shared_std0(lam, nu, s):
+            if (lam, nu, s) not in paths:
+                paths[lam, nu, s] = enumerate_std0(lam, nu, s)
+            return paths[lam, nu, s]
+
+        monkeypatch.setattr(tableaux, "enumerate_std0", shared_std0)
+        pool = partitions_up_to(4)
+        cases = weights = 0
+        for lam in pool:
+            for nu in pool:
+                for s in range(6):
+                    if not in_bounds(lam, nu, s):
+                        continue
+                    std0 = shared_std0(lam, nu, s)
+                    want = {mu: _tally(_form_classes(std0, mu))
+                            for mu in partitions_of(s)}
+                    assert class_counts(lam, nu, s) == want, (lam, nu, s)
+                    cases += 1
+                    if not (is_copieri(lam, nu, s)
+                            or is_maximal_depth(lam, nu, s)):
+                        continue
+                    for mu in partitions_of(s):
+                        assert count_sstd(lam, nu, mu) == want[mu][0]
+                        assert count_latticed(lam, nu, mu) == want[mu][1]
+                        # an empty frame repeats a boundary shape
+                        weight = mu[:1] + (0,) + mu[1:]
+                        assert count_sstd(lam, nu, weight) \
+                            == _tally(mu_classes(lam, nu, weight))[0], \
+                            (lam, nu, weight)
+                        weights += 1
+        assert (cases, weights) == (530, 438)
+
+    def test_kept_paths_are_the_semistandard_classes(self):
+        # the prefilter keeps exactly the members of the semistandard
+        # classes, so every valid frame-interior swap of a kept path is kept
+        pool = partitions_up_to(3)
+        kept_total = dropped = 0
+        for lam in pool:
+            for nu in pool:
+                for s in range(1, 6):
+                    std0 = enumerate_std0(lam, nu, s)
+                    for mu in _compositions(s):
+                        kept = _semistandard_paths(std0, mu, {})
+                        members = {t for cls in _form_classes(std0, mu)
+                                   if is_semistandard(cls)
+                                   for t in cls.members}
+                        assert kept == [t for t in std0 if t in members]
+                        cuts = set(accumulate(mu))
+                        for t in kept:
+                            for k in range(1, s):
+                                other = None if k in cuts \
+                                    else swap_adjacent(t, k)
+                                assert other is None or other in members, \
+                                    (t, mu, k)
+                        kept_total += len(kept)
+                        dropped += len(std0) - len(kept)
+        assert kept_total > 0 and dropped > 0
 
     def test_one_row_shapes_kill_deep_weights(self):
         for a in range(1, 6):

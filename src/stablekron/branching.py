@@ -40,30 +40,26 @@ def step_str(step: Step) -> str:
 
 def remove_box(shape, i: int):
     """shape - eps_i, or None if not a partition; i = 0 removes nothing."""
-    if i == 0:
-        return tuple(shape)
-    if not 1 <= i <= len(shape):
+    shape = tuple(shape)
+    if not 0 < i <= len(shape):
+        return shape if i == 0 else None
+    row = shape[i - 1] - 1
+    if i < len(shape) and row < shape[i]:
         return None
-    new = list(shape)
-    new[i - 1] -= 1
-    if new[i - 1] < part(shape, i + 1):
-        return None
-    if new[i - 1] == 0:
-        new.pop()
-    return tuple(new)
+    return shape[:i - 1] + (row,) + shape[i:] if row else shape[:-1]
 
 
 def add_box(shape, j: int):
     """shape + eps_j, or None if not a partition; j = 0 adds nothing."""
-    if j == 0:
-        return tuple(shape)
-    if not 1 <= j <= len(shape) + 1:
+    shape = tuple(shape)
+    if j == len(shape) + 1:
+        return shape + (1,)
+    if not 0 < j <= len(shape):
+        return shape if j == 0 else None
+    row = shape[j - 1] + 1
+    if j >= 2 and row > shape[j - 2]:
         return None
-    new = list(shape) + [0] * (j - len(shape))
-    new[j - 1] += 1
-    if j >= 2 and new[j - 1] > new[j - 2]:
-        return None
-    return tuple(new)
+    return shape[:j - 1] + (row,) + shape[j:]
 
 
 def _apply(shape, step: Step):
@@ -148,20 +144,21 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
     in lexicographic order of step sequences under the step order.
 
     Depth-first over live prefixes only.  A shape t is at distance
-    max(|t| - |t ∩ nu|, |nu| - |t ∩ nu|) from nu: one integral step
-    removes at most one box and adds at most one, and pairing the
+    max(a, b) from nu, where a = |t| - |t ∩ nu| and b = |nu| - |t ∩ nu|:
+    a step removes at most one box and adds at most one, and pairing the
     removals of t / (t ∩ nu) with the additions of nu / (t ∩ nu) reaches
     nu in exactly that many steps, dummy steps using up any surplus.  So
     a step is taken exactly when its shape's distance is at most the
     steps left after it, and every prefix visited extends to a path.
-    Adding a box lowers the distance by at most 1, so a removal whose
-    half-level shape is further from nu than the steps left is skipped
-    with its additions untried; on a maximal-depth walk (|nu| = |lam| +
-    s) every removal is.  Each shape's distance, and its live moves in
-    step order for each number of steps left, are memoized in dicts
-    local to the call; _extend reads the moves memo, and live_moves only
-    fills it (no list stored is empty, since every prefix visited
-    extends to a path).
+    live_moves finds a and b once per shape and counts each move from
+    them: taking the last box of row i lowers a when t_i > nu_i, else
+    raises b; putting a box in row j lowers b when the row is then at most
+    nu_j long, else raises a.  A removal whose half-level shape is further
+    from nu than the steps left is skipped with its additions untried (an
+    addition lowers the distance by at most 1); on a maximal-depth walk
+    (|nu| = |lam| + s) every removal is.  The live moves in step order,
+    per shape and steps left, are memoized in a dict local to the call
+    that _extend reads and live_moves fills; no list stored is empty.
 
     The walk is _extend, a module-level recursion of depth s over one
     prefix in lists overwritten in place; it gets the memo and live_moves
@@ -174,33 +171,34 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
     lam = partition(lam)
     nu = partition(nu)
     out: list[Tableau] = []
-    dist: dict[tuple, int] = {}
     live: dict[tuple, list] = {}
+    rows = nu + (0,) * (len(lam) + s + 1)  # nu padded past any row reached
 
-    def distance(shape):
-        d = dist.get(shape)
-        if d is None:
-            d = dist[shape] = max(skew_diff_sizes(shape, nu))
-        return d
-
-    def live_moves(shape, remaining):
+    def live_moves(shape, left):
         """The moves from shape, in step order, whose shape is at most
-        remaining - 1 steps from nu, stored in live."""
+        left - 1 steps from nu, stored in live."""
+        a, b = skew_diff_sizes(shape, nu)
         cands = []
         for i in range(0, len(shape) + 1):
-            half = remove_box(shape, i)
-            # one addition lowers the distance by at most 1
-            if half is None or distance(half) > remaining:
+            outside = i and shape[i - 1] > rows[i - 1]
+            ha, hb = a - outside, b + (i and not outside)
+            if ha > left or hb > left:
                 continue
+            half = remove_box(shape, i)
+            if half is None:
+                continue
+            ends = half + (0,)
             for j in range(0, len(half) + 2):
-                nxt = add_box(half, j)
-                if nxt is not None and distance(nxt) < remaining:
-                    cands.append(((i, j), nxt))
+                inside = j and ends[j - 1] < rows[j - 1]
+                if ha + (j and not inside) < left and hb - inside < left:
+                    nxt = add_box(half, j)
+                    if nxt is not None:
+                        cands.append(((i, j), nxt))
         cands.sort(key=lambda c: step_key(c[0]))
-        live[shape, remaining] = cands
+        live[shape, left] = cands
         return cands
 
-    if distance(lam) > s:
+    if max(skew_diff_sizes(lam, nu)) > s:
         return out
     if s == 0:
         out.append(Tableau._trusted((), (lam,)))

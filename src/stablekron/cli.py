@@ -14,6 +14,7 @@ from __future__ import annotations
 import json
 import sys
 from contextlib import contextmanager
+from functools import partial
 
 import click
 
@@ -222,11 +223,11 @@ def cmd_verify(emit, max_size, max_s, thm33_r, n_cap):
         records = [*verify.bell_counts(3),
                    *verify.swap_identity(thm33_r),
                    *verify.counting_sweep(max_size, max_s, n_cap)]
-    records.sort(key=lambda rec: json.dumps(rec, sort_keys=True))
-    failures = [rec for rec in records if not rec["ok"]]
+    key = partial(json.dumps, sort_keys=True)  # sorted only where printed
+    failures = sorted((rec for rec in records if not rec["ok"]), key=key)
     if emit == "tsv":
         click.echo("check\tok\tdetail")
-        for rec in records:
+        for rec in sorted(records, key=key):
             detail = {k: v for k, v in rec.items() if k not in ("check", "ok")}
             click.echo(f"{rec['check']}\t{rec['ok']}\t"
                        + json.dumps(detail, sort_keys=True))

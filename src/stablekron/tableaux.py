@@ -113,14 +113,11 @@ def _swap_component(seg: Tableau) -> set[tuple]:
     return comp
 
 
-def is_semistandard(cls: SemistandardClass) -> bool:
+def is_semistandard(cls: SemistandardClass, passes=None) -> bool:
     """True iff every pair of consecutive frame-boundary shapes passes
-    _horizontal_frame."""
-    shapes = cls.boundary_shapes()
-    for prev, cur in zip(shapes, shapes[1:]):
-        if not _horizontal_frame(prev, cur):
-            return False
-    return True
+    _horizontal_frame, read from and kept in the pair memo passes."""
+    memo = {} if passes is None else passes
+    return bool(_semistandard_paths(cls.members[:1], cls.weight, memo))
 
 
 def _horizontal_frame(prev, cur) -> bool:
@@ -194,10 +191,11 @@ def is_lattice(word) -> bool:
     return all(good_mask(word))
 
 
-def class_flags(cls: SemistandardClass) -> tuple[bool, bool]:
+def class_flags(cls: SemistandardClass, passes=None) -> tuple[bool, bool]:
     """(semistandard, counted): a class is counted when it is
-    semistandard and its reading word's frame row is a lattice word."""
-    semi = is_semistandard(cls)
+    semistandard (is_semistandard(cls, passes)) and its reading word's
+    frame row is a lattice word."""
+    semi = is_semistandard(cls, passes)
     return semi, semi and is_lattice(reading_word(cls)[1])
 
 
@@ -226,12 +224,13 @@ def class_counts(lam, nu, s: int) -> dict:
 def _counts(std0, mu, passes: dict) -> tuple[int, int]:
     """_tally of the weight-mu classes of std0, formed from its
     semistandard paths only: the other classes add nothing to it."""
-    return _tally(_form_classes(_semistandard_paths(std0, mu, passes), mu))
+    kept = _semistandard_paths(std0, mu, passes)
+    return _tally(_form_classes(kept, mu), passes)
 
 
-def _tally(classes) -> tuple[int, int]:
+def _tally(classes, passes=None) -> tuple[int, int]:
     """(semistandard classes, of which counted) among classes."""
-    flags = [class_flags(c) for c in classes]
+    flags = [class_flags(c, passes) for c in classes]
     return sum(f[0] for f in flags), sum(f[1] for f in flags)
 
 

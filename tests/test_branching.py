@@ -92,6 +92,28 @@ class TestBoxMoves:
         assert add_box((3, 2), 4) is None
         assert add_box((3, 3), 2) is None
 
+    def test_matches_list_arithmetic(self):
+        # _reference_enumerate_std builds its moves with these helpers,
+        # so they are checked here against rows changed in a list
+        def reference(shape, row, delta):
+            if row == 0:
+                return tuple(shape)
+            if not 1 <= row <= len(shape) + (delta > 0):
+                return None
+            rows = list(shape) + [0]
+            rows[row - 1] += delta
+            if any(x < y for x, y in zip(rows, rows[1:])):
+                return None
+            return tuple(x for x in rows if x)
+
+        for shape in partitions_up_to(7):
+            for row in range(-1, len(shape) + 3):
+                for given in (shape, list(shape)):
+                    assert remove_box(given, row) \
+                        == reference(shape, row, -1), (shape, row)
+                    assert add_box(given, row) \
+                        == reference(shape, row, 1), (shape, row)
+
     def test_successors(self):
         # the rows the path DFS tries: 0..len for removals, 0..len+1 for
         # additions; row 0 leaves the shape as it is

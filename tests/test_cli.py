@@ -253,6 +253,24 @@ class TestVerify:
         assert json.loads(result.output) == {"checks": 6,
                                              "failures": failures}
 
+    def test_printed_records_in_json_key_order(self, monkeypatch):
+        # the TSV rows, and the JSON failures among them, come sorted by
+        # each record's JSON text with sorted keys
+        monkeypatch.setattr(diagalg, "verify_thm33", lambda t, k: False)
+        args = ("verify", "--max-size", "1", "--max-s", "2", "--thm33-r", "3")
+        rows = run(*args, "--emit", "tsv").output.splitlines()[1:]
+        records = []
+        for row in rows:
+            check, ok, detail = row.split("\t")
+            records.append({"check": check, "ok": ok == "True",
+                            **json.loads(detail)})
+        keys = [json.dumps(rec, sort_keys=True) for rec in records]
+        assert len(records) > 6 and keys == sorted(keys)
+        result = run(*args, "--emit", "json")
+        assert result.exit_code == 1
+        assert json.loads(result.output)["failures"] \
+            == [rec for rec in records if not rec["ok"]]
+
 
 class TestDeterminism:
     def test_byte_stable_output(self):

@@ -17,8 +17,9 @@ swapped through once per weight instead of every whole path.
 
 Semistandardness reads only the frame-boundary shapes, which no such
 swap changes, so it holds for all members of a class or for none.  The
-counts therefore form classes of the semistandard paths alone; the
-listing (mu_classes) still forms every class.
+counts therefore form classes of the semistandard paths alone, so each
+class they form is semistandard and only its lattice flag is tested;
+the listing (mu_classes) still forms every class.
 """
 
 from __future__ import annotations
@@ -45,11 +46,6 @@ class SemistandardClass:
 
     weight: tuple[int, ...]
     members: tuple[Tableau, ...]
-
-    def boundary_shapes(self):
-        """The common shapes at the frame boundaries [mu]_0, [mu]_1, ..."""
-        shapes = self.members[0].shapes
-        return tuple(shapes[b] for b in accumulate(self.weight, initial=0))
 
     def __len__(self):
         return len(self.members)
@@ -113,11 +109,10 @@ def _swap_component(seg: Tableau) -> set[tuple]:
     return comp
 
 
-def is_semistandard(cls: SemistandardClass, passes=None) -> bool:
+def is_semistandard(cls: SemistandardClass) -> bool:
     """True iff every pair of consecutive frame-boundary shapes passes
-    _horizontal_frame, read from and kept in the pair memo passes."""
-    memo = {} if passes is None else passes
-    return bool(_semistandard_paths(cls.members[:1], cls.weight, memo))
+    _horizontal_frame."""
+    return bool(_semistandard_paths(cls.members[:1], cls.weight))
 
 
 def _horizontal_frame(prev, cur) -> bool:
@@ -127,16 +122,17 @@ def _horizontal_frame(prev, cur) -> bool:
             and _horizontal_over_meet(prev, cur))
 
 
-def _semistandard_paths(paths, mu, passes: dict) -> list:
+def _semistandard_paths(paths, mu) -> list:
     """The paths whose every frame-boundary pair of weight mu passes
-    _horizontal_frame, in order.  A path is dropped at its first failing
-    frame.  passes memoizes the test per (previous, current) pair; the
-    caller keeps it for one call.  The result is closed under
+    _horizontal_frame, in order: the one test of semistandardness.  A
+    path is dropped at its first failing frame, and each (previous,
+    current) pair is tested once per call.  The result is closed under
     frame-interior swaps whenever paths is, since a swap inside a frame
     keeps every boundary shape."""
     if not paths:
         return paths
     cuts = list(accumulate(mu))
+    passes: dict = {}
     kept = []
     for t in paths:
         shapes = t.shapes
@@ -191,47 +187,45 @@ def is_lattice(word) -> bool:
     return all(good_mask(word))
 
 
-def class_flags(cls: SemistandardClass, passes=None) -> tuple[bool, bool]:
-    """(semistandard, counted): a class is counted when it is
-    semistandard (is_semistandard(cls, passes)) and its reading word's
-    frame row is a lattice word."""
-    semi = is_semistandard(cls, passes)
-    return semi, semi and is_lattice(reading_word(cls)[1])
+def _latticed(cls: SemistandardClass) -> bool:
+    """True iff the frame row of cls's reading word is a lattice word:
+    the one test of "counted" among semistandard classes."""
+    return is_lattice(reading_word(cls)[1])
+
+
+def class_flags(cls: SemistandardClass) -> tuple[bool, bool]:
+    """(semistandard, counted) for the listing: a class is counted when
+    it is semistandard and _latticed."""
+    semi = is_semistandard(cls)
+    return semi, semi and _latticed(cls)
 
 
 def count_sstd(lam, nu, mu) -> int:
     """Number of semistandard classes of weight mu."""
     mu = composition(mu)
-    return _counts(enumerate_std0(lam, nu, size(mu)), mu, {})[0]
+    return _counts(enumerate_std0(lam, nu, size(mu)), mu)[0]
 
 
 def count_latticed(lam, nu, mu) -> int:
     """Number of semistandard classes whose frame row is a lattice word."""
     mu = partition(mu)
-    return _counts(enumerate_std0(lam, nu, size(mu)), mu, {})[1]
+    return _counts(enumerate_std0(lam, nu, size(mu)), mu)[1]
 
 
 def class_counts(lam, nu, s: int) -> dict:
     """{mu: (count_sstd(lam, nu, mu), count_latticed(lam, nu, mu))} for
     every partition mu of s, from one enumeration of the non-radical
-    paths of (lam, nu, s) and one boundary-pair memo, both shared by
-    all the weights."""
+    paths of (lam, nu, s) shared by all the weights."""
     std0 = enumerate_std0(lam, nu, s)
-    passes: dict = {}
-    return {mu: _counts(std0, mu, passes) for mu in partitions_of(s)}
+    return {mu: _counts(std0, mu) for mu in partitions_of(s)}
 
 
-def _counts(std0, mu, passes: dict) -> tuple[int, int]:
-    """_tally of the weight-mu classes of std0, formed from its
-    semistandard paths only: the other classes add nothing to it."""
-    kept = _semistandard_paths(std0, mu, passes)
-    return _tally(_form_classes(kept, mu), passes)
-
-
-def _tally(classes, passes=None) -> tuple[int, int]:
-    """(semistandard classes, of which counted) among classes."""
-    flags = [class_flags(c, passes) for c in classes]
-    return sum(f[0] for f in flags), sum(f[1] for f in flags)
+def _counts(std0, mu) -> tuple[int, int]:
+    """(semistandard classes, of which latticed) of weight mu among
+    std0's.  The classes are formed from the semistandard paths only, so
+    each is semistandard and only _latticed is tested on it."""
+    classes = _form_classes(_semistandard_paths(std0, mu), mu)
+    return len(classes), sum(map(_latticed, classes))
 
 
 def stable_kronecker(lam, nu, mu) -> int:

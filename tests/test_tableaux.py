@@ -27,10 +27,10 @@ from stablekron.partitions import (
 )
 from stablekron import tableaux
 from stablekron.tableaux import (
-    NotApplicable, SemistandardClass, class_counts, count_latticed,
-    count_sstd, good_mask, is_lattice, is_semistandard, mu_classes,
-    reading_word, stable_kronecker, _form_classes, _horizontal_over_meet,
-    _semistandard_paths, _tally,
+    NotApplicable, SemistandardClass, class_counts, class_flags,
+    count_latticed, count_sstd, good_mask, is_lattice, is_semistandard,
+    mu_classes, reading_word, stable_kronecker, _form_classes,
+    _horizontal_over_meet, _semistandard_paths,
 )
 
 
@@ -192,6 +192,20 @@ def _reference_form_classes(std0, mu):
     return classes
 
 
+def _boundary_shapes(cls):
+    """The shapes of cls's first member at the frame boundaries
+    [mu]_0, [mu]_1, ..., which every member shares."""
+    shapes = cls.members[0].shapes
+    return tuple(shapes[b] for b in accumulate(cls.weight, initial=0))
+
+
+def _flag_totals(classes):
+    """(semistandard classes, of which counted) among classes, from
+    class_flags of each: the reference for the counts."""
+    flags = [class_flags(c) for c in classes]
+    return sum(f[0] for f in flags), sum(f[1] for f in flags)
+
+
 class TestClasses:
     def test_three_classes_of_two(self):
         classes = mu_classes((4, 2), (5, 3, 1), (2, 1))
@@ -211,7 +225,7 @@ class TestClasses:
 
     def test_boundary_shapes(self):
         cls = mu_classes((4, 2), (5, 3, 1), (2, 1))[0]
-        bounds = cls.boundary_shapes()
+        bounds = _boundary_shapes(cls)
         assert bounds[0] == (4, 2)
         assert bounds[-1] == (5, 3, 1)
         assert len(bounds) == 3
@@ -316,7 +330,7 @@ class TestClasses:
                                 for m in cls.members}
                             assert len(signatures) == 1, cls
                             (bounds, _), = signatures
-                            assert bounds == cls.boundary_shapes()
+                            assert bounds == _boundary_shapes(cls)
 
 
 class TestSemistandard:
@@ -372,7 +386,7 @@ class TestReadingWords:
                                       (step_key(col[0]), -col[1]))
                         assert reading_word(cls)[1] \
                             == tuple(f for _, f in cols)
-                        assert cls.boundary_shapes() \
+                        assert _boundary_shapes(cls) \
                             == tuple(rep.shapes[c] for c in (0, *cum))
                         cases += 1
         assert cases == 12675
@@ -459,7 +473,8 @@ class TestCounts:
 
     def test_semistandard_prefilter_keeps_every_count(self, monkeypatch):
         # equality gate for counting the classes of the semistandard paths
-        # only: the reference tallies every class of the non-radical paths.
+        # only: the reference totals class_flags over every class of the
+        # non-radical paths.
         # Each path list is enumerated once and shared by every call.
         paths = {}
 
@@ -477,7 +492,7 @@ class TestCounts:
                     if not in_bounds(lam, nu, s):
                         continue
                     std0 = shared_std0(lam, nu, s)
-                    want = {mu: _tally(_form_classes(std0, mu))
+                    want = {mu: _flag_totals(_form_classes(std0, mu))
                             for mu in partitions_of(s)}
                     assert class_counts(lam, nu, s) == want, (lam, nu, s)
                     cases += 1
@@ -490,7 +505,7 @@ class TestCounts:
                         # an empty frame repeats a boundary shape
                         weight = mu[:1] + (0,) + mu[1:]
                         assert count_sstd(lam, nu, weight) \
-                            == _tally(mu_classes(lam, nu, weight))[0], \
+                            == _flag_totals(mu_classes(lam, nu, weight))[0], \
                             (lam, nu, weight)
                         weights += 1
         assert (cases, weights) == (530, 438)
@@ -505,7 +520,7 @@ class TestCounts:
                 for s in range(1, 6):
                     std0 = enumerate_std0(lam, nu, s)
                     for mu in _compositions(s):
-                        kept = _semistandard_paths(std0, mu, {})
+                        kept = _semistandard_paths(std0, mu)
                         members = {t for cls in _form_classes(std0, mu)
                                    if is_semistandard(cls)
                                    for t in cls.members}

@@ -123,20 +123,24 @@ class Tableau:
 
 def _extend(out, steps, shapes, d, last, live, live_moves):
     """Append to out every path through the prefix steps[:d], which
-    visits shapes[:d + 1]; at depth last = s - 1, emit them in place."""
+    visits shapes[:d + 1]; at depth last - 1 = s - 2, emit them in place."""
     shape = shapes[d]
     moves = live.get((shape, last + 1 - d)) or live_moves(shape, last + 1 - d)
-    if d == last:
-        prefix, shared = tuple(steps), tuple(shapes)
-        new = Tableau.__new__
-        for st, _ in moves:
-            t = new(Tableau)
-            t.steps, t.shapes = prefix + (st,), shared
-            out.append(t)
+    if d < last - 1:
+        for st, nxt in moves:
+            steps[d], shapes[d + 1] = st, nxt
+            _extend(out, steps, shapes, d + 1, last, live, live_moves)
         return
-    for st, nxt in moves:
-        steps[d], shapes[d + 1] = st, nxt
-        _extend(out, steps, shapes, d + 1, last, live, live_moves)
+    new = Tableau.__new__
+    # at s = 1 the root stands in for the one move at depth s - 2
+    for st, nxt in moves if d < last else [(None, shape)]:
+        if d < last:
+            steps[d], shapes[d + 1] = st, nxt
+        prefix, shared = tuple(steps), tuple(shapes)
+        for end, _ in live.get((nxt, 1)) or live_moves(nxt, 1):
+            t = new(Tableau)
+            t.steps, t.shapes = prefix + (end,), shared
+            out.append(t)
 
 
 def enumerate_std(lam, nu, s: int) -> list[Tableau]:
@@ -160,11 +164,11 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
     per shape and steps left, are memoized in a dict local to the call
     that _extend reads and live_moves fills; no list stored is empty.
 
-    The walk is _extend, a module-level recursion of depth s over one
+    The walk is _extend, a module-level recursion of depth s - 1 over one
     prefix in lists overwritten in place; it gets the memo and live_moves
     as arguments, so no function refers to itself.  Every live move after
-    s - 1 steps lands on nu, so the paths it ends share one shapes tuple,
-    whose first shape is their start lam.
+    s - 1 steps lands on nu, so the paths through one move at depth s - 2
+    share one shapes tuple, whose first shape is their start lam.
     """
     if s < 0:
         raise ValueError("s must be non-negative")

@@ -8,6 +8,7 @@ reads absent parts as 0.
 from __future__ import annotations
 
 from functools import lru_cache
+from operator import le
 
 
 class NotAPartition(ValueError):
@@ -73,9 +74,8 @@ def partial_sum(lam, a: int) -> int:
 
 
 def contains(inner, outer) -> bool:
-    """Row-wise containment inner ⊆ outer."""
-    return all(part(inner, i) <= part(outer, i)
-               for i in range(1, len(inner) + 1))
+    """Row-wise containment inner ⊆ outer (no partition has a zero row)."""
+    return len(inner) <= len(outer) and all(map(le, inner, outer))
 
 
 def skew_diff_sizes(lam, nu) -> tuple[int, int]:

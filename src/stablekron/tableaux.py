@@ -17,21 +17,21 @@ swapped through once per weight instead of every whole path.
 
 Semistandardness reads only the frame-boundary shapes, which no such
 swap changes, so it holds for all members of a class or for none.  The
-counts therefore form classes of the semistandard paths alone, so each
-class they form is semistandard and only its lattice flag is tested;
-the listing (mu_classes) still forms every class.
+counts therefore take the semistandard paths alone and count each
+class at its first member, testing only its lattice flag; the listing
+(mu_classes) still forms every class.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, pairwise
 
 from .partitions import (
     composition, in_bounds, is_copieri, is_maximal_depth, partition,
     partitions_of, size,
 )
-from .branching import Tableau, enumerate_std0, step_key, swap_adjacent
+from .branching import Tableau, _apply, enumerate_std0, step_key, swap_adjacent
 # the benchmark's maximal-depth reference reads tableaux.classical_lr
 from .lr import classical_lr  # noqa: F401
 
@@ -64,28 +64,29 @@ def _form_classes(std0, mu) -> list[SemistandardClass]:
     std0 must be a path list closed under frame-interior swaps (the
     non-radical paths, or their semistandard ones) of one (lam, nu, s)
     with s = |mu|, so that every valid swap of a path in std0 is again
-    in std0 and a class is a product of per-frame swap components.
-    Each frame segment (start shape, steps) is swap-BFS'd on its first
-    sighting, and every ordering it reaches gets one component id; a
-    path's class is the tuple of its frames' ids.
+    in std0 and a class is a product of per-frame swap components.  A
+    path's class is the tuple of its frames' _Labels.
     """
-    cuts = list(accumulate(mu, initial=0))
-    frames = list(zip(cuts, cuts[1:]))
-    component: dict[tuple, int] = {}
+    frames = list(pairwise(accumulate(mu, initial=0)))
+    labels = _Labels()
     groups: dict[tuple, list] = {}
     for t in std0:
-        ids = []
-        for a, b in frames:
-            start, steps = t.shapes[a], t.steps[a:b]
-            cid = component.get((start, steps))
-            if cid is None:
-                cid = len(component)  # fresh: each labelling adds keys
-                seg = Tableau._trusted(steps, t.shapes[a:b + 1])
-                for order in _swap_component(seg):
-                    component[start, order] = cid
-            ids.append(cid)
-        groups.setdefault(tuple(ids), []).append(t)
+        key = tuple([labels[t.shapes[a], t.steps[a:b]] for a, b in frames])
+        groups.setdefault(key, []).append(t)
     return [SemistandardClass(mu, tuple(ms)) for ms in groups.values()]
+
+
+class _Labels(dict):
+    """{(start shape, steps): label}: a frame segment's label is the
+    first ordering of its swap component looked up, over std0's order
+    the least.  A miss swap-BFSes the segment and labels what it reaches."""
+
+    def __missing__(self, key):
+        start, steps = key
+        seg = accumulate(steps, _apply, initial=start)  # the shapes visited
+        for order in _swap_component(Tableau._trusted(steps, tuple(seg))):
+            self[start, order] = steps
+        return steps
 
 
 def _swap_component(seg: Tableau) -> set[tuple]:
@@ -161,10 +162,15 @@ def _horizontal_over_meet(x, y) -> bool:
 
 
 def reading_word(cls: SemistandardClass):
+    """The 2 x s array (steps, frames) of cls's first member."""
+    return _reading_word(cls.members[0].steps, cls.weight)
+
+
+def _reading_word(steps, weight):
     """The 2 x s array (steps, frames), columns sorted by the step order,
     ties broken by frame descending; a zero part frames no step."""
-    frames = [c for c, m in enumerate(cls.weight, start=1) for _ in range(m)]
-    cols = sorted(zip(cls.members[0].steps, frames, strict=True),
+    frames = [c for c, m in enumerate(weight, start=1) for _ in range(m)]
+    cols = sorted(zip(steps, frames, strict=True),
                   key=lambda col: (step_key(col[0]), -col[1]))
     return tuple(c[0] for c in cols), tuple(c[1] for c in cols)
 
@@ -187,17 +193,17 @@ def is_lattice(word) -> bool:
     return all(good_mask(word))
 
 
-def _latticed(cls: SemistandardClass) -> bool:
-    """True iff the frame row of cls's reading word is a lattice word:
+def _latticed(steps, weight) -> bool:
+    """True iff a class member with these steps has a lattice frame row:
     the one test of "counted" among semistandard classes."""
-    return is_lattice(reading_word(cls)[1])
+    return is_lattice(_reading_word(steps, weight)[1])
 
 
 def class_flags(cls: SemistandardClass) -> tuple[bool, bool]:
     """(semistandard, counted) for the listing: a class is counted when
     it is semistandard and _latticed."""
     semi = is_semistandard(cls)
-    return semi, semi and _latticed(cls)
+    return semi, semi and _latticed(cls.members[0].steps, cls.weight)
 
 
 def count_sstd(lam, nu, mu) -> int:
@@ -222,10 +228,25 @@ def class_counts(lam, nu, s: int) -> dict:
 
 def _counts(std0, mu) -> tuple[int, int]:
     """(semistandard classes, of which latticed) of weight mu among
-    std0's.  The classes are formed from the semistandard paths only, so
-    each is semistandard and only _latticed is tested on it."""
-    classes = _form_classes(_semistandard_paths(std0, mu), mu)
-    return len(classes), sum(map(_latticed, classes))
+    std0's.  A class is the product of its frames' swap components, so
+    it is counted at its one path whose frames are all _Labels labels
+    (as a frame of under two steps is): its first member.  A path is
+    dropped at its first other frame; a component is still first reached
+    with its least ordering, so the labels are those _form_classes reads."""
+    frames = [(a, b) for a, b in pairwise(accumulate(mu, initial=0))
+              if b - a > 1]
+    labels = _Labels()
+    sstd = latt = 0
+    for t in _semistandard_paths(std0, mu):
+        shapes, steps = t.shapes, t.steps
+        for a, b in frames:
+            seg = steps[a:b]
+            if labels[shapes[a], seg] != seg:
+                break
+        else:
+            sstd += 1
+            latt += _latticed(steps, mu)
+    return sstd, latt
 
 
 def stable_kronecker(lam, nu, mu) -> int:

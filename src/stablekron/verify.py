@@ -66,6 +66,7 @@ def counting_sweep(max_size: int, max_s: int, n_cap=None):
       number K(tau, mu) times the latticed class count of tau.
     """
     parts = partitions.partitions_up_to(max_size)
+    kostka: dict[int, dict] = {}  # s -> {mu: [(tau, K(tau, mu)), ...]}
     for lam in parts:
         for nu in parts:
             for s in range(max_s + 1):
@@ -78,6 +79,9 @@ def counting_sweep(max_size: int, max_s: int, n_cap=None):
                 if not (equivalence or decomposition):
                     continue
                 counts = tableaux.class_counts(lam, nu, s)
+                if decomposition and s not in kostka:
+                    kostka[s] = {mu: [(tau, lr.ssyt_count(tau, mu))
+                                      for tau in counts] for mu in counts}
                 for mu, (sstd, latt) in counts.items():
                     triple = {"lambda": list(lam), "nu": list(nu),
                               "mu": list(mu)}
@@ -87,7 +91,7 @@ def counting_sweep(max_size: int, max_s: int, n_cap=None):
                         yield {"check": "oracle_equivalence", **triple,
                                "got": latt, "want": want, "ok": latt == want}
                     if decomposition:
-                        rhs = sum(lr.ssyt_count(tau, mu) * counts[tau][1]
-                                  for tau in counts)
+                        rhs = sum(k * counts[tau][1]
+                                  for tau, k in kostka[s][mu])
                         yield {"check": "decomposition", **triple,
                                "got": sstd, "want": rhs, "ok": sstd == rhs}

@@ -227,6 +227,26 @@ class TestEnumeration:
             assert _as_lists(enumerate_std(lam, nu, s)) \
                 == _as_lists(_reference_enumerate_std(lam, nu, s)), (lam, nu, s)
 
+    def test_paths_emitted_from_depth_s_minus_2(self, monkeypatch):
+        # each move at depth s - 2 is followed by its own moves to nu in
+        # the same loop, so the recursion never goes deeper than s - 2; on
+        # this co-Pieri triple most such prefixes have one last move, so
+        # it makes fewer calls than it emits paths
+        depths = []
+        extend = branching._extend
+
+        def counted(out, steps, shapes, d, *rest):
+            depths.append(d)
+            return extend(out, steps, shapes, d, *rest)
+
+        monkeypatch.setattr(branching, "_extend", counted)
+        paths = enumerate_std((6,), (6,), 6)
+        assert len(paths) == 11242
+        assert len(depths) < len(paths)
+        assert max(depths) == 4
+        del depths[:]
+        assert len(enumerate_std((6,), (6,), 1)) == 2 and depths == [0]
+
     def test_shortest_paths(self):
         # s = 0: the one empty path when lam == nu, none otherwise
         assert _as_lists(enumerate_std((2, 1), (2, 1), 0)) \

@@ -5,8 +5,9 @@ import json
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from stablekron import diagalg
+from stablekron import diagalg, lr, verify
 from stablekron.cli import main
+from stablekron.partitions import partitions_of
 
 
 def run(*args):
@@ -230,6 +231,24 @@ class TestVerify:
             bell = [json.loads(row.split("\t")[2])["r"]
                     for row in rows if row.startswith("bell\t")]
             assert sorted(bell) == [1, 2, 3], max_s
+
+    def test_kostka_numbers_once_per_pair(self, monkeypatch):
+        # the decomposition checks read one Kostka table per s, so each
+        # pair (tau, mu) of partitions of s is counted once per sweep
+        pairs = []
+        ssyt_count = lr.ssyt_count
+
+        def counted(tau, mu):
+            pairs.append((tau, mu))
+            return ssyt_count(tau, mu)
+
+        monkeypatch.setattr(lr, "ssyt_count", counted)
+        records = list(verify.counting_sweep(4, 4))
+        assert len(records) == 938
+        assert all(rec["ok"] for rec in records)
+        assert sorted(pairs) == sorted(
+            (tau, mu) for s in range(1, 5)
+            for tau in partitions_of(s) for mu in partitions_of(s))
 
     def test_tsv_rows(self):
         result = run_ok("verify", "--max-size", "0", "--max-s", "0",

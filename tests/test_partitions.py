@@ -154,6 +154,19 @@ class TestSkewHelpers:
         assert not contains((2, 2), (3, 1))
         assert contains((), (5,))
 
+    def test_contains_matches_rowwise_definition(self):
+        # every pair of partitions of size <= 6, of equal and of unequal
+        # lengths, against the row-by-row comparison with absent rows 0
+        pool = partitions_up_to(6)
+        lengths = set()
+        for inner in pool:
+            for outer in pool:
+                want = all(part(inner, i) <= part(outer, i)
+                           for i in range(1, len(inner) + 1))
+                assert contains(inner, outer) == want, (inner, outer)
+                lengths.add((len(inner) > len(outer), want))
+        assert lengths == {(False, False), (False, True), (True, False)}
+
     def test_is_horizontal(self):
         assert is_horizontal((5, 2), (3, 2))
         assert is_horizontal((3, 2), (2,))

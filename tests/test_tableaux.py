@@ -248,6 +248,37 @@ class TestClasses:
                         cases += 1
         assert cases == 1777
 
+    def test_counts_count_each_class_at_its_first_member(self, monkeypatch):
+        # the counts test the lattice flag of one path per semistandard
+        # class, and that path is the class's first member in the listing;
+        # each weight also runs with an empty second frame
+        counted = []
+
+        def recorded_latticed(steps, weight):
+            counted.append(steps)
+            return latticed(steps, weight)
+
+        latticed = tableaux._latticed
+        monkeypatch.setattr(tableaux, "_latticed", recorded_latticed)
+        pool = partitions_up_to(4)
+        cases = 0
+        for lam in pool:
+            for nu in pool:
+                for s in range(1, 5):
+                    std0 = enumerate_std0(lam, nu, s)
+                    if not std0:
+                        continue
+                    for mu in _compositions(s):
+                        for weight in (mu, mu[:1] + (0,) + mu[1:]):
+                            semi = _semistandard_paths(std0, weight)
+                            del counted[:]
+                            tableaux._counts(std0, weight)
+                            firsts = [c.members[0].steps
+                                      for c in _form_classes(semi, weight)]
+                            assert counted == firsts, (lam, nu, weight)
+                        cases += 1
+        assert cases == 1777
+
     def test_swaps_validate_only_unseen_orderings(self, monkeypatch):
         # the swap-BFS calls swap_adjacent only on orderings its component
         # does not hold yet, so every valid swap reaches a new ordering:

@@ -12,6 +12,8 @@ return is freed by reference counting as soon as it returns.
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 from .partitions import part, partition, size, skew_diff_sizes
 
 Step = tuple[int, int]
@@ -121,15 +123,17 @@ class Tableau:
         return f"Tableau({self.start}, [{self.serialize()}])"
 
 
-def _extend(out, steps, shapes, d, last, live, live_moves):
+def _extend(out, steps, shapes, d, last, live, live_moves, ends):
     """Append to out every path through the prefix steps[:d], which
-    visits shapes[:d + 1]; at depth last - 1 = s - 2, emit them in place."""
+    visits shapes[:d + 1]; at depth last - 1 = s - 2, emit them in place,
+    each as the prefix plus one final step read from ends."""
     shape = shapes[d]
-    moves = live.get((shape, last + 1 - d)) or live_moves(shape, last + 1 - d)
+    key = (shape, last + 1 - d)
+    moves = live.get(key) or live.setdefault(key, live_moves(*key))
     if d < last - 1:
         for st, nxt in moves:
             steps[d], shapes[d + 1] = st, nxt
-            _extend(out, steps, shapes, d + 1, last, live, live_moves)
+            _extend(out, steps, shapes, d + 1, last, live, live_moves, ends)
         return
     new = Tableau.__new__
     # at s = 1 the root stands in for the one move at depth s - 2
@@ -137,9 +141,11 @@ def _extend(out, steps, shapes, d, last, live, live_moves):
         if d < last:
             steps[d], shapes[d + 1] = st, nxt
         prefix, shared = tuple(steps), tuple(shapes)
-        for end, _ in live.get((nxt, 1)) or live_moves(nxt, 1):
+        tails = ends.get(nxt) or ends.setdefault(
+            nxt, [(end,) for end, _ in live_moves(nxt, 1)])
+        for tail in tails:
             t = new(Tableau)
-            t.steps, t.shapes = prefix + (end,), shared
+            t.steps, t.shapes = prefix + tail, shared
             out.append(t)
 
 
@@ -162,13 +168,16 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
     addition lowers the distance by at most 1); on a maximal-depth walk
     (|nu| = |lam| + s) every removal is.  The live moves in step order,
     per shape and steps left, are memoized in a dict local to the call
-    that _extend reads and live_moves fills; no list stored is empty.
+    that _extend reads and fills from live_moves; no list stored is empty.
 
     The walk is _extend, a module-level recursion of depth s - 1 over one
-    prefix in lists overwritten in place; it gets the memo and live_moves
+    prefix in lists overwritten in place; it gets the memos and live_moves
     as arguments, so no function refers to itself.  Every live move after
     s - 1 steps lands on nu, so the paths through one move at depth s - 2
-    share one shapes tuple, whose first shape is their start lam.
+    share one shapes tuple, whose first shape is their start lam.  Their
+    final steps are stored once per shape one step from nu, as 1-tuples
+    in a second dict local to the call, so each path is one
+    concatenation of the prefix tuple and a stored final step.
     """
     if s < 0:
         raise ValueError("s must be non-negative")
@@ -180,7 +189,7 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
 
     def live_moves(shape, left):
         """The moves from shape, in step order, whose shape is at most
-        left - 1 steps from nu, stored in live."""
+        left - 1 steps from nu."""
         a, b = skew_diff_sizes(shape, nu)
         cands = []
         for i in range(0, len(shape) + 1):
@@ -199,7 +208,6 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
                     if nxt is not None:
                         cands.append(((i, j), nxt))
         cands.sort(key=lambda c: step_key(c[0]))
-        live[shape, left] = cands
         return cands
 
     if max(skew_diff_sizes(lam, nu)) > s:
@@ -208,7 +216,7 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
         out.append(Tableau._trusted((), (lam,)))
         return out
     shapes = [lam] * s + [nu]
-    _extend(out, [(0, 0)] * (s - 1), shapes, 0, s - 1, live, live_moves)
+    _extend(out, [(0, 0)] * (s - 1), shapes, 0, s - 1, live, live_moves, {})
     return out
 
 
@@ -235,28 +243,46 @@ def dvir_removal_witness(t: Tableau):
     return min(witnesses) if witnesses else None
 
 
+RADICAL_SCREEN_CACHE_SIZE = 256
+
+
+@lru_cache(maxsize=RADICAL_SCREEN_CACHE_SIZE)
+def _radical_screen(rows: int, s: int) -> frozenset:
+    """The steps any one of which puts a path of s steps from a start of
+    `rows` rows in the Dvir radical: (0, 0), and every step removing a
+    box from a row past the start's, whose capacity is 0.  A step adds
+    at most one row, so before its last step such a path has fewer than
+    rows + s rows, and each step adds to a row at most rows + s."""
+    reach = rows + s
+    return frozenset([(0, 0)] + [(i, j) for i in range(rows + 1, reach)
+                                 for j in range(reach + 1)])
+
+
 def enumerate_std0(lam, nu, s: int) -> list[Tableau]:
     """enumerate_std filtered to paths outside the Dvir radical, in the
     same order.
 
-    The filter is is_dvir(t) is None in one counting pass per path: a
-    path with a (0, 0) step is dropped, and any other walks its steps
-    down a copy of the row capacities -- the start's parts, then 0 for
-    every row a path of s steps can reach, up to len(lam) + s -- and is
-    dropped at the first row that goes negative.  A step changes the
-    size by -1, 0 or +1, so at maximal depth, |nu| = |lam| + s, every
-    step is (0, j) with j >= 1: the radical is empty and the paths are
-    returned without the pass.
+    The filter is is_dvir(t) is None, decided in two stages.  First one
+    set test per path, screen.isdisjoint(t.steps), drops every path with
+    a (0, 0) step or a removal from a row past len(lam); the screen is
+    built once per (len(lam), s).  A path that passes walks its steps
+    down a copy of the row capacities -- the steps that remove nothing,
+    never more than s, then the start's parts -- and is dropped at the
+    first row that goes negative.  A step changes the size by -1, 0 or
+    +1, so at maximal depth, |nu| = |lam| + s, every step is (0, j) with
+    j >= 1: the radical is empty and the paths are returned unfiltered.
     """
     paths = enumerate_std(lam, nu, s)
     if size(nu) == size(lam) + s:
         return paths
-    # index 0 counts the steps that remove nothing, never more than s
-    caps = [s, *partition(lam)] + [0] * s
+    lam = partition(lam)
+    screen = _radical_screen(len(lam), s)
+    # index 0 counts the steps that remove nothing
+    caps = [s, *lam]
     out = []
     for t in paths:
         steps = t.steps
-        if (0, 0) in steps:
+        if not screen.isdisjoint(steps):
             continue
         left = caps.copy()
         for i, _ in steps:

@@ -315,6 +315,27 @@ class TestRadicalFilters:
                     expected = [t for t in paths if is_dvir(t) is None]
                     assert _as_lists(got) == _as_lists(expected), (lam, nu, s)
 
+    def test_radical_screen_on_copieri_strata(self):
+        # the benchmark's co-Pieri strata, both orientations: every path
+        # with a (0, 0) step or a removal past row len(lam) is radical,
+        # each such step is in the screen, and the screen and capacity
+        # walk together keep exactly the paths is_dvir keeps, in order
+        for a in range(1, 7):
+            for b in range(1, 7):
+                for s in (5, 6):
+                    lam, nu = (a,), (b,)
+                    screen = branching._radical_screen(len(lam), s)
+                    paths = enumerate_std(lam, nu, s)
+                    for t in paths:
+                        over = [(i, j) for i, j in t.steps
+                                if i > len(lam) or i == j == 0]
+                        assert set(over) <= screen, (t, over)
+                        if over:
+                            assert is_dvir(t) is not None, t
+                    expected = [t for t in paths if is_dvir(t) is None]
+                    got = enumerate_std0(lam, nu, s)
+                    assert _as_lists(got) == _as_lists(expected), (lam, nu, s)
+
     def test_enumerate_std0_at_maximal_depth(self):
         # |nu| = |lam| + s: every step adds a box, so the radical is empty
         # and enumerate_std0 returns all of enumerate_std, in order

@@ -9,7 +9,7 @@ import gc
 import pytest
 
 from conftest import clear_memos, memos
-from stablekron import cli, diagalg, lr, oracle, partitions, tableaux
+from stablekron import branching, cli, diagalg, lr, oracle, partitions, tableaux
 from stablekron.branching import Tableau, enumerate_std, enumerate_std0
 
 CALLS = {
@@ -50,6 +50,7 @@ def test_call_leaves_no_cycles(name):
 def test_every_memo_is_bounded():
     # found in every module of the package, not only those imported here
     found = memos()
-    assert {diagalg._level, diagalg._murphy_prefix, lr._skew} <= found
+    assert {branching._radical_screen, diagalg._level, diagalg._murphy_prefix,
+            lr._skew} <= found
     for memo in found:
         assert memo.cache_info().maxsize is not None, memo.__qualname__

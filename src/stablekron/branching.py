@@ -7,11 +7,16 @@ is a sequence of integral steps and the partitions it visits, its start
 first.
 
 No call leaves a reference cycle behind: what a call builds and does not
-return is freed by reference counting as soon as it returns.
+return is freed by reference counting as soon as it returns.  So
+enumerate_std0, which builds many paths to keep few, holds off the
+cyclic collector while it builds and filters them: a collection would
+find nothing.  The collector is process-global; the call puts it back as
+its caller had it, on or off.
 """
 
 from __future__ import annotations
 
+import gc
 from functools import lru_cache
 
 from .partitions import part, partition, size, skew_diff_sizes
@@ -262,17 +267,40 @@ def enumerate_std0(lam, nu, s: int) -> list[Tableau]:
     """enumerate_std filtered to paths outside the Dvir radical, in the
     same order.
 
-    The filter is is_dvir(t) is None, decided in two stages.  First one
-    set test per path, screen.isdisjoint(t.steps), drops every path with
-    a (0, 0) step or a removal from a row past len(lam); the screen is
-    built once per (len(lam), s).  A path that passes walks its steps
-    down a copy of the row capacities -- the steps that remove nothing,
-    never more than s, then the start's parts -- and is dropped at the
-    first row that goes negative.  A step changes the size by -1, 0 or
-    +1, so at maximal depth, |nu| = |lam| + s, every step is (0, j) with
-    j >= 1: the radical is empty and the paths are returned unfiltered.
+    The cyclic collector is held off while the paths are built and
+    filtered, and put back as the caller had it, even on error.  The
+    call builds no reference cycle, so a collection would find nothing,
+    yet the two tracked objects of each path built -- on co-Pieri
+    triples nearly all of them radical -- would set off one collection
+    per few hundred paths.  The pause covers the filter too: the dropped
+    paths are freed by reference counting when _outside_radical returns,
+    and freed while the collector is off they never count towards a
+    collection.  The collector is process-global, so the pause holds for
+    every thread while the call runs.
     """
-    paths = enumerate_std(lam, nu, s)
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return _outside_radical(enumerate_std(lam, nu, s), lam, nu, s)
+    finally:
+        if enabled:
+            gc.enable()
+
+
+def _outside_radical(paths, lam, nu, s: int) -> list[Tableau]:
+    """The paths from lam to nu in s steps outside the Dvir radical, in
+    their order: is_dvir(t) is None, decided in two stages.
+
+    First one set test per path, screen.isdisjoint(t.steps), drops every
+    path with a (0, 0) step or a removal from a row past len(lam); the
+    screen is built once per (len(lam), s).  A path that passes walks its
+    steps down a copy of the row capacities -- the steps that remove
+    nothing, never more than s, then the start's parts -- and is dropped
+    at the first row that goes negative.  A step changes the size by -1,
+    0 or +1, so at maximal depth, |nu| = |lam| + s, every step is (0, j)
+    with j >= 1: the radical is empty and the paths are returned
+    unfiltered.
+    """
     if size(nu) == size(lam) + s:
         return paths
     lam = partition(lam)

@@ -7,11 +7,8 @@ is a sequence of integral steps and the partitions it visits, its start
 first.
 
 No call leaves a reference cycle behind: what a call builds and does not
-return is freed by reference counting as soon as it returns.  So
-enumerate_std0, which builds many paths to keep few, holds off the
-cyclic collector while it builds and filters them: a collection would
-find nothing.  The collector is process-global; the call puts it back as
-its caller had it, on or off.
+return is freed by reference counting as soon as it returns, which is
+why enumerate_std0 can hold off the cyclic collector.
 """
 
 from __future__ import annotations
@@ -128,30 +125,40 @@ class Tableau:
         return f"Tableau({self.start}, [{self.serialize()}])"
 
 
-def _extend(out, steps, shapes, d, last, live, live_moves, ends):
+def _extend(out, steps, shapes, d, k, live, live_moves, tails):
     """Append to out every path through the prefix steps[:d], which
-    visits shapes[:d + 1]; at depth last - 1 = s - 2, emit them in place,
-    each as the prefix plus one final step read from ends."""
+    visits shapes[:d + 1]; at depth len(steps) = s - k, emit them in
+    place, each as the prefix plus one suffix of k steps from _suffixes."""
     shape = shapes[d]
-    key = (shape, last + 1 - d)
-    moves = live.get(key) or live.setdefault(key, live_moves(*key))
-    if d < last - 1:
-        for st, nxt in moves:
+    if d < len(steps):
+        key = (shape, len(steps) + k - d)
+        for st, nxt in live.get(key) or live.setdefault(key, live_moves(*key)):
             steps[d], shapes[d + 1] = st, nxt
-            _extend(out, steps, shapes, d + 1, last, live, live_moves, ends)
+            _extend(out, steps, shapes, d + 1, k, live, live_moves, tails)
         return
-    new = Tableau.__new__
-    # at s = 1 the root stands in for the one move at depth s - 2
-    for st, nxt in moves if d < last else [(None, shape)]:
-        if d < last:
-            steps[d], shapes[d + 1] = st, nxt
-        prefix, shared = tuple(steps), tuple(shapes)
-        tails = ends.get(nxt) or ends.setdefault(
-            nxt, [(end,) for end, _ in live_moves(nxt, 1)])
-        for tail in tails:
+    new, prefix, head = Tableau.__new__, tuple(steps), tuple(shapes)
+    for after, suffixes in tails.get((shape, k)) or _suffixes(
+            shape, k, live_moves, tails):
+        shared = head + after
+        for suffix in suffixes:
             t = new(Tableau)
-            t.steps, t.shapes = prefix + tail, shared
+            t.steps, t.shapes = prefix + suffix, shared
             out.append(t)
+
+
+def _suffixes(shape, k, live_moves, tails):
+    """The last k steps of the paths from shape, in step order, as
+    [(shapes after shape, [step suffixes])], stored in tails under
+    (shape, k); the suffixes of a group differ only in their last step."""
+    moves = live_moves(shape, k)
+    if k == 1:
+        groups = [((moves[0][1],), [(st,) for st, _ in moves])]
+    else:
+        groups = [((nxt,) + after, [(st,) + suffix for suffix in suffixes])
+                  for st, nxt in moves
+                  for after, suffixes in tails.get((nxt, k - 1))
+                  or _suffixes(nxt, k - 1, live_moves, tails)]
+    return tails.setdefault((shape, k), groups)
 
 
 def enumerate_std(lam, nu, s: int) -> list[Tableau]:
@@ -171,25 +178,21 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
     nu_j long, else raises a.  A removal whose half-level shape is further
     from nu than the steps left is skipped with its additions untried (an
     addition lowers the distance by at most 1); on a maximal-depth walk
-    (|nu| = |lam| + s) every removal is.  The live moves in step order,
-    per shape and steps left, are memoized in a dict local to the call
-    that _extend reads and fills from live_moves; no list stored is empty.
+    (|nu| = |lam| + s) every removal is.
 
-    The walk is _extend, a module-level recursion of depth s - 1 over one
-    prefix in lists overwritten in place; it gets the memos and live_moves
-    as arguments, so no function refers to itself.  Every live move after
-    s - 1 steps lands on nu, so the paths through one move at depth s - 2
-    share one shapes tuple, whose first shape is their start lam.  Their
-    final steps are stored once per shape one step from nu, as 1-tuples
-    in a second dict local to the call, so each path is one
-    concatenation of the prefix tuple and a stored final step.
+    The walk is _extend, a module-level recursion over the first s - k
+    steps, k = ceil(s / 2), that memoizes their live moves per shape and
+    steps left.  Their last k steps are built once per shape at depth
+    s - k by _suffixes, grouped by all but their last step so that the
+    paths of one prefix and group share one shapes tuple.  Both memos
+    are dicts local to the call, passed as arguments with live_moves, so
+    no nested function refers to itself.
     """
     if s < 0:
         raise ValueError("s must be non-negative")
     lam = partition(lam)
     nu = partition(nu)
     out: list[Tableau] = []
-    live: dict[tuple, list] = {}
     rows = nu + (0,) * (len(lam) + s + 1)  # nu padded past any row reached
 
     def live_moves(shape, left):
@@ -220,8 +223,8 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
     if s == 0:
         out.append(Tableau._trusted((), (lam,)))
         return out
-    shapes = [lam] * s + [nu]
-    _extend(out, [(0, 0)] * (s - 1), shapes, 0, s - 1, live, live_moves, {})
+    m = s // 2  # the prefix half; the suffix half is k = s - m steps
+    _extend(out, [(0, 0)] * m, [lam] * (m + 1), 0, s - m, {}, live_moves, {})
     return out
 
 
@@ -268,15 +271,12 @@ def enumerate_std0(lam, nu, s: int) -> list[Tableau]:
     same order.
 
     The cyclic collector is held off while the paths are built and
-    filtered, and put back as the caller had it, even on error.  The
-    call builds no reference cycle, so a collection would find nothing,
-    yet the two tracked objects of each path built -- on co-Pieri
-    triples nearly all of them radical -- would set off one collection
-    per few hundred paths.  The pause covers the filter too: the dropped
-    paths are freed by reference counting when _outside_radical returns,
-    and freed while the collector is off they never count towards a
-    collection.  The collector is process-global, so the pause holds for
-    every thread while the call runs.
+    filtered, and put back as the caller had it, even on error: a
+    collection would find nothing, yet the two tracked objects of each
+    path built, on co-Pieri triples nearly all radical, would set one
+    off per few hundred paths.  The dropped paths are freed when
+    _outside_radical returns, so they never count towards one either.
+    The collector is process-global: the pause holds for every thread.
     """
     enabled = gc.isenabled()
     gc.disable()

@@ -224,30 +224,37 @@ class TestEnumeration:
                         == _as_lists(_reference_enumerate_std(lam, nu, s)), \
                         (lam, nu, s)
         # the three largest enumerations of the rule-copieri benchmark,
-        # and a maximal-depth walk, where every removal is dead
+        # and maximal-depth walks, where every removal is dead; the last
+        # three reuse each memoized suffix across many prefixes (23,535
+        # paths at s = 7, then suffixes of 5 steps at s = 9)
         for lam, nu, s in [((6,), (6,), 6), ((5,), (5,), 6), ((4,), (6,), 6),
-                           ((2, 1), (6, 4, 3), 10)]:
+                           ((2, 1), (6, 4, 3), 10), ((3, 1), (5, 3, 2, 1), 7),
+                           ((1,), (2,), 7), ((1,), (4, 3, 2, 1), 9)]:
             assert _as_lists(enumerate_std(lam, nu, s)) \
                 == _as_lists(_reference_enumerate_std(lam, nu, s)), (lam, nu, s)
 
-    def test_paths_emitted_from_depth_s_minus_2(self, monkeypatch):
-        # each move at depth s - 2 is followed by its own moves to nu in
-        # the same loop, so the recursion never goes deeper than s - 2; on
-        # this co-Pieri triple most such prefixes have one last move, so
-        # it makes fewer calls than it emits paths
-        depths = []
-        extend = branching._extend
+    def test_paths_emitted_from_mid_depth(self, monkeypatch):
+        # the recursion stops at depth s - ceil(s / 2) and emits each path
+        # there as its prefix plus one suffix of the last ceil(s / 2)
+        # steps, which _suffixes builds once per (shape, k) in a call
+        depths, built = [], []
+        extend, suffixes = branching._extend, branching._suffixes
 
         def counted(out, steps, shapes, d, *rest):
             depths.append(d)
             return extend(out, steps, shapes, d, *rest)
 
+        def recorded(shape, k, *rest):
+            built.append((shape, k))
+            return suffixes(shape, k, *rest)
+
         monkeypatch.setattr(branching, "_extend", counted)
-        paths = enumerate_std((6,), (6,), 6)
-        assert len(paths) == 11242
-        assert len(depths) < len(paths)
-        assert max(depths) == 4
-        del depths[:]
+        monkeypatch.setattr(branching, "_suffixes", recorded)
+        assert len(enumerate_std((6,), (6,), 6)) == 11242
+        # a recursion down to depth s - 2 makes 3,455 calls here
+        assert len(depths) < 500 and max(depths) == 3
+        assert built and len(built) == len(set(built))
+        del depths[:], built[:]
         assert len(enumerate_std((6,), (6,), 1)) == 2 and depths == [0]
 
     def test_shortest_paths(self):

@@ -20,6 +20,8 @@ CALLS = {
     # 1,485 paths, 30 of them outside the radical
     "enumerate_std": lambda: enumerate_std((2,), (5,), 6),
     "enumerate_std0": lambda: enumerate_std0((2,), (5,), 6),
+    # 768 paths whose suffixes of 5 steps share nested lists and tuples
+    "enumerate_std_suffixes": lambda: enumerate_std((1,), (4, 3, 2, 1), 9),
     "class_counts": lambda: tableaux.class_counts((2, 1), (3, 1), 4),
     "copieri": lambda: tableaux.stable_kronecker((4,), (5,), (3, 2)),
     # 11,242 paths, 141 of them outside the radical

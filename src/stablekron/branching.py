@@ -14,7 +14,6 @@ why enumerate_std0 can hold off the cyclic collector.
 from __future__ import annotations
 
 import gc
-from functools import lru_cache
 
 from .partitions import part, partition, size, skew_diff_sizes
 
@@ -251,21 +250,6 @@ def dvir_removal_witness(t: Tableau):
     return min(witnesses) if witnesses else None
 
 
-RADICAL_SCREEN_CACHE_SIZE = 256
-
-
-@lru_cache(maxsize=RADICAL_SCREEN_CACHE_SIZE)
-def _radical_screen(rows: int, s: int) -> frozenset:
-    """The steps any one of which puts a path of s steps from a start of
-    `rows` rows in the Dvir radical: (0, 0), and every step removing a
-    box from a row past the start's, whose capacity is 0.  A step adds
-    at most one row, so before its last step such a path has fewer than
-    rows + s rows, and each step adds to a row at most rows + s."""
-    reach = rows + s
-    return frozenset([(0, 0)] + [(i, j) for i in range(rows + 1, reach)
-                                 for j in range(reach + 1)])
-
-
 def enumerate_std0(lam, nu, s: int) -> list[Tableau]:
     """enumerate_std filtered to paths outside the Dvir radical, in the
     same order.
@@ -292,19 +276,23 @@ def _outside_radical(paths, lam, nu, s: int) -> list[Tableau]:
     their order: is_dvir(t) is None, decided in two stages.
 
     First one set test per path, screen.isdisjoint(t.steps), drops every
-    path with a (0, 0) step or a removal from a row past len(lam); the
-    screen is built once per (len(lam), s).  A path that passes walks its
-    steps down a copy of the row capacities -- the steps that remove
-    nothing, never more than s, then the start's parts -- and is dropped
-    at the first row that goes negative.  A step changes the size by -1,
-    0 or +1, so at maximal depth, |nu| = |lam| + s, every step is (0, j)
-    with j >= 1: the radical is empty and the paths are returned
-    unfiltered.
+    path with a (0, 0) step or a removal from a row past len(lam), whose
+    capacity is 0.  A step adds at most one row, so before its last step
+    a path has fewer than len(lam) + s rows, and each step adds to a row
+    at most len(lam) + s; the screen holds (0, 0) and every such removal.
+    A path that passes walks its steps down a copy of the row capacities
+    -- the steps that remove nothing, never more than s, then the
+    start's parts -- and is dropped at the first row that goes negative.
+    A step changes the size by -1, 0 or +1, so at maximal depth,
+    |nu| = |lam| + s, every step is (0, j) with j >= 1: the radical is
+    empty and the paths are returned unfiltered.
     """
     if size(nu) == size(lam) + s:
         return paths
     lam = partition(lam)
-    screen = _radical_screen(len(lam), s)
+    reach = len(lam) + s
+    screen = frozenset([(0, 0)] + [(i, j) for i in range(len(lam) + 1, reach)
+                                   for j in range(reach + 1)])
     # index 0 counts the steps that remove nothing
     caps = [s, *lam]
     out = []

@@ -120,6 +120,20 @@ def is_maximal_depth(lam, nu, s: int) -> bool:
     return contains(lam, nu) and size(nu) == size(lam) + s
 
 
+def regime(lam, nu, s: int):
+    """How the counting rule treats the triple (lam, nu, s), tested in
+    this order: "out of range" unless in_bounds (the coefficient is 0),
+    then "maximal depth", then "co-Pieri"; None when neither rule
+    covers it.  A triple of maximal depth may also be co-Pieri."""
+    if not in_bounds(lam, nu, s):
+        return "out of range"
+    if is_maximal_depth(lam, nu, s):
+        return "maximal depth"
+    if is_copieri(lam, nu, s):
+        return "co-Pieri"
+    return None
+
+
 PARTITIONS_CACHE_SIZE = 64
 
 

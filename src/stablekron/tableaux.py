@@ -27,10 +27,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
 
-from .partitions import (
-    composition, in_bounds, is_copieri, is_maximal_depth, partition,
-    partitions_of, size,
-)
+from .partitions import composition, partition, partitions_of, regime, size
 from .branching import Tableau, _apply, enumerate_std0, step_key, swap_adjacent
 # the benchmark's maximal-depth reference reads tableaux.classical_lr
 from .lr import classical_lr  # noqa: F401
@@ -250,16 +247,18 @@ def _counts(std0, mu) -> tuple[int, int]:
 
 
 def stable_kronecker(lam, nu, mu) -> int:
-    """The stable Kronecker coefficient of (lam, nu, mu): 0 outside the
-    s-range of (lam, nu) in any regime, and inside it the number of
-    latticed semistandard classes, for co-Pieri or maximal-depth triples."""
+    """The stable Kronecker coefficient of (lam, nu, mu), by the
+    partitions.regime of (lam, nu, |mu|): 0 when "out of range", the
+    number of latticed semistandard classes for "maximal depth" or
+    "co-Pieri", and NotApplicable when neither rule covers the triple."""
     lam = partition(lam)
     nu = partition(nu)
     mu = partition(mu)
     s = size(mu)
-    if not in_bounds(lam, nu, s):
+    covered = regime(lam, nu, s)
+    if covered == "out of range":
         return 0
-    if not (is_maximal_depth(lam, nu, s) or is_copieri(lam, nu, s)):
+    if covered is None:
         raise NotApplicable(f"({lam}, {nu}, s={s}) is neither co-Pieri "
                             "nor of maximal depth")
     return count_latticed(lam, nu, mu)

@@ -58,9 +58,9 @@ def counting_sweep(max_size: int, max_s: int, n_cap=None):
     """For lam, nu of size at most max_size and 0 <= s <= max_s, from one
     tableaux.class_counts per (lam, nu, s):
 
-    - "oracle_equivalence": for covered triples (co-Pieri or maximal
-      depth) with s <= max_size and s within the skew-size bounds, the
-      latticed class count of each mu |- s against the character oracle;
+    - "oracle_equivalence": for triples whose partitions.regime is
+      "maximal depth" or "co-Pieri", with s <= max_size, the latticed
+      class count of each mu |- s against the character oracle;
     - "decomposition": for co-Pieri triples with s >= 1, the semistandard
       class count of each mu against sum over tau |- s of the Kostka
       number K(tau, mu) times the latticed class count of tau.
@@ -70,12 +70,10 @@ def counting_sweep(max_size: int, max_s: int, n_cap=None):
     for lam in parts:
         for nu in parts:
             for s in range(max_s + 1):
-                copieri = partitions.is_copieri(lam, nu, s)
-                equivalence = (
-                    s <= max_size
-                    and (copieri or partitions.is_maximal_depth(lam, nu, s))
-                    and partitions.in_bounds(lam, nu, s))
-                decomposition = copieri and s >= 1
+                covered = partitions.regime(lam, nu, s)
+                equivalence = (s <= max_size
+                               and covered in ("maximal depth", "co-Pieri"))
+                decomposition = s >= 1 and partitions.is_copieri(lam, nu, s)
                 if not (equivalence or decomposition):
                     continue
                 counts = tableaux.class_counts(lam, nu, s)

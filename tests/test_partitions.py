@@ -11,7 +11,7 @@ from stablekron.partitions import (
     NotAPartition, Undefined, composition, contains, format_partition,
     in_bounds,
     is_copieri, is_maximal_depth, minmax, parse_partition, part,
-    partial_sum, partition, partitions_of, partitions_up_to, size,
+    partial_sum, partition, partitions_of, partitions_up_to, regime, size,
     skew_diff_sizes,
 )
 
@@ -211,6 +211,27 @@ class TestTripleClassification:
         assert is_maximal_depth((2, 1), (2, 1), 0)
         assert not is_maximal_depth((4, 2), (5, 3, 1), 2)
         assert not is_maximal_depth((3, 3), (4, 1), 1)
+
+    def test_regime_tests_range_then_maximal_depth_then_copieri(self):
+        pool = partitions_up_to(7)
+        for lam, nu in product(pool, repeat=2):
+            for s in range(9):
+                if not in_bounds(lam, nu, s):
+                    want = "out of range"
+                elif is_maximal_depth(lam, nu, s):
+                    want = "maximal depth"
+                elif is_copieri(lam, nu, s):
+                    want = "co-Pieri"
+                else:
+                    want = None
+                assert regime(lam, nu, s) == want, (lam, nu, s)
+
+    def test_regime_prefers_maximal_depth_over_copieri(self):
+        # (2,) ⊆ (4, 1) and |nu| = |lam| + 3, and s = 3 is at most
+        # max(0, 3) + minmax = 4: both rules cover the triple
+        assert is_copieri((2,), (4, 1), 3)
+        assert is_maximal_depth((2,), (4, 1), 3)
+        assert regime((2,), (4, 1), 3) == "maximal depth"
 
 
 class TestEnumeration:

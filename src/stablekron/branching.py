@@ -14,6 +14,7 @@ why enumerate_std0 can hold off the cyclic collector.
 from __future__ import annotations
 
 import gc
+from itertools import accumulate, pairwise
 
 from .partitions import part, partition, size, skew_diff_sizes
 
@@ -124,20 +125,28 @@ class Tableau:
         return f"Tableau({self.start}, [{self.serialize()}])"
 
 
-def _extend(out, steps, shapes, d, k, live, live_moves, tails):
+def _extend(out, steps, shapes, d, k, live, tails):
     """Append to out every path through the prefix steps[:d], which
     visits shapes[:d + 1]; at depth len(steps) = s - k, emit them in
-    place, each as the prefix plus one suffix of k steps from _suffixes."""
+    place, each as the prefix plus one suffix of k steps from tails.
+    With frames, a move that ends a frame inside the prefix is taken
+    only when the frame's boundary pair passes tails.test."""
     shape = shapes[d]
     if d < len(steps):
         key = (shape, len(steps) + k - d)
-        for st, nxt in live.get(key) or live.setdefault(key, live_moves(*key)):
+        moves = live.get(key) or live.setdefault(key, tails.live_moves(*key))
+        a = tails.heads.get(d + 1)
+        if a is not None:
+            first, test = shapes[a], tails.test
+            moves = [move for move in moves if test(first, move[1])]
+        for st, nxt in moves:
             steps[d], shapes[d + 1] = st, nxt
-            _extend(out, steps, shapes, d + 1, k, live, live_moves, tails)
+            _extend(out, steps, shapes, d + 1, k, live, tails)
         return
     new, prefix, head = Tableau.__new__, tuple(steps), tuple(shapes)
-    for after, suffixes in tails.get((shape, k)) or _suffixes(
-            shape, k, live_moves, tails):
+    for after, suffixes in (
+            tails.get((shape, k)) or _suffixes(shape, k, tails)
+            if tails.straddle is None else tails.straddling(head, k)):
         shared = head + after
         for suffix in suffixes:
             t = new(Tableau)
@@ -145,24 +154,96 @@ def _extend(out, steps, shapes, d, k, live, live_moves, tails):
             out.append(t)
 
 
-def _suffixes(shape, k, live_moves, tails):
-    """The last k steps of the paths from shape, in step order, as
-    [(shapes after shape, [step suffixes])], stored in tails under
-    (shape, k); the suffixes of a group differ only in their last step."""
-    moves = live_moves(shape, k)
+class _Tails(dict):
+    """The suffix memo of one walk of s steps split at depth m:
+    {(shape, k): [(shapes after shape, [step suffixes])]}, in step order,
+    read as tails.get((shape, k)) or _suffixes(shape, k, tails).  A dead
+    end is an empty list, which _suffixes finds and returns unbuilt.
+
+    It carries what the walk needs besides: live_moves, and for frames
+    (mu, test) the test and where each frame (a, b) of mu with two or
+    more steps is tested on its boundary shapes at depths a and b:
+    - heads {b: a}: inside the prefix (b <= m), on the moves into depth
+      b, once per prefix of b steps;
+    - straddle (a, b - m - 1): across the split, on the suffix groups of
+      a prefix, once per (shape, k, shape at depth a), stored under that
+      key in this dict;
+    - inner {s - a: b - a - 1}: inside the suffix, on the groups from
+      the shape at depth a, once per entry.
+    """
+
+    __slots__ = ("live_moves", "test", "heads", "straddle", "inner")
+
+    def __init__(self, live_moves, s, m, frames):
+        self.live_moves = live_moves
+        self.test, self.heads, self.straddle, self.inner = None, {}, None, {}
+        if frames is None:
+            return
+        mu, self.test = frames
+        for a, b in pairwise(accumulate(mu, initial=0)):
+            if b - a < 2:
+                continue
+            if b <= m:
+                self.heads[b] = a
+            elif a < m:
+                self.straddle = (a, b - m - 1)
+            else:
+                self.inner[s - a] = b - a - 1
+
+    def straddling(self, head, k):
+        """The suffix groups from head[-1] in k steps whose shapes pass
+        the test of the frame across the split, after the prefix that
+        visits head."""
+        a, end = self.straddle
+        first, shape = head[a], head[-1]
+        key = (shape, k, first)
+        groups = self.get(key)
+        if groups is None:
+            groups = self[key] = _passing(_suffixes(shape, k, self), first,
+                                          end, self.test)
+        return groups
+
+
+def _suffixes(shape, k, tails):
+    """tails[shape, k], built and stored if absent: the last k steps of
+    the paths from shape, in step order, as [(shapes after shape, [step
+    suffixes])]; the suffixes of a group differ only in their last step.
+    With frames, a group is dropped when the frame that starts at shape
+    lies inside the suffix and fails the test."""
+    groups = tails.get((shape, k))
+    if groups is not None:
+        return groups
+    moves = tails.live_moves(shape, k)
     if k == 1:
         groups = [((moves[0][1],), [(st,) for st, _ in moves])]
     else:
         groups = [((nxt,) + after, [(st,) + suffix for suffix in suffixes])
                   for st, nxt in moves
                   for after, suffixes in tails.get((nxt, k - 1))
-                  or _suffixes(nxt, k - 1, live_moves, tails)]
-    return tails.setdefault((shape, k), groups)
+                  or _suffixes(nxt, k - 1, tails)]
+        end = tails.inner.get(k)
+        if end is not None:
+            groups = _passing(groups, shape, end, tails.test)
+    tails[shape, k] = groups
+    return groups
 
 
-def enumerate_std(lam, nu, s: int) -> list[Tableau]:
+def _passing(groups, first, end, test):
+    """The suffix groups whose shape at index end passes test(first,
+    shape), in order, testing each distinct shape once."""
+    ok = {cur: test(first, cur) for cur in {group[0][end] for group in groups}}
+    return [group for group in groups if ok[group[0][end]]]
+
+
+def enumerate_std(lam, nu, s: int, frames=None) -> list[Tableau]:
     """All standard tableaux (paths) from lam to nu in s integral steps,
     in lexicographic order of step sequences under the step order.
+
+    frames, when given, is a pair (mu, test) of a composition mu of s
+    and a test on two partitions; the walk then keeps only the paths
+    whose every frame of mu (steps 1..mu_1, then the next mu_2 steps,
+    and so on) of two or more steps has boundary shapes (prev, cur)
+    with test(prev, cur) true, in the same order.
 
     Depth-first over live prefixes only.  A shape t is at distance
     max(a, b) from nu, where a = |t| - |t ∩ nu| and b = |nu| - |t ∩ nu|:
@@ -170,7 +251,9 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
     removals of t / (t ∩ nu) with the additions of nu / (t ∩ nu) reaches
     nu in exactly that many steps, dummy steps using up any surplus.  So
     a step is taken exactly when its shape's distance is at most the
-    steps left after it, and every prefix visited extends to a path.
+    steps left after it, and without frames every prefix visited
+    extends to a path; with them a prefix may lead only to paths whose
+    frames fail.
     live_moves finds a and b once per shape and counts each move from
     them: taking the last box of row i lowers a when t_i > nu_i, else
     raises b; putting a box in row j lowers b when the row is then at most
@@ -183,12 +266,17 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
     steps, k = ceil(s / 2), that memoizes their live moves per shape and
     steps left.  Their last k steps are built once per shape at depth
     s - k by _suffixes, grouped by all but their last step so that the
-    paths of one prefix and group share one shapes tuple.  Both memos
-    are dicts local to the call, passed as arguments with live_moves, so
-    no nested function refers to itself.
+    paths of one prefix and group share one shapes tuple.  A frame test
+    reads shapes only, so it runs on prefix moves and suffix groups (see
+    _Tails), never once per path.  Both memos are dicts local to the
+    call, passed down as arguments; the suffix memo, a _Tails, also
+    carries live_moves and the frame tests, so no nested function refers
+    to itself.
     """
     if s < 0:
         raise ValueError("s must be non-negative")
+    if frames is not None and size(frames[0]) != s:
+        raise ValueError("the weight of frames must have size s")
     lam = partition(lam)
     nu = partition(nu)
     out: list[Tableau] = []
@@ -223,7 +311,8 @@ def enumerate_std(lam, nu, s: int) -> list[Tableau]:
         out.append(Tableau._trusted((), (lam,)))
         return out
     m = s // 2  # the prefix half; the suffix half is k = s - m steps
-    _extend(out, [(0, 0)] * m, [lam] * (m + 1), 0, s - m, {}, live_moves, {})
+    _extend(out, [(0, 0)] * m, [lam] * (m + 1), 0, s - m, {},
+            _Tails(live_moves, s, m, frames))
     return out
 
 
@@ -250,9 +339,11 @@ def dvir_removal_witness(t: Tableau):
     return min(witnesses) if witnesses else None
 
 
-def enumerate_std0(lam, nu, s: int) -> list[Tableau]:
-    """enumerate_std filtered to paths outside the Dvir radical, in the
-    same order.
+def enumerate_std0(lam, nu, s: int, frames=None) -> list[Tableau]:
+    """enumerate_std(lam, nu, s, frames) filtered to paths outside the
+    Dvir radical, in the same order.  The counts pass frames only at
+    maximal depth, where the radical is empty (see
+    tableaux._semistandard_std0).
 
     The cyclic collector is held off while the paths are built and
     filtered, and put back as the caller had it, even on error: a
@@ -265,7 +356,8 @@ def enumerate_std0(lam, nu, s: int) -> list[Tableau]:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return _outside_radical(enumerate_std(lam, nu, s), lam, nu, s)
+        args = (lam, nu, s) if frames is None else (lam, nu, s, frames)
+        return _outside_radical(enumerate_std(*args), lam, nu, s)
     finally:
         if enabled:
             gc.enable()
@@ -285,9 +377,9 @@ def _outside_radical(paths, lam, nu, s: int) -> list[Tableau]:
     start's parts -- and is dropped at the first row that goes negative.
     A step changes the size by -1, 0 or +1, so at maximal depth,
     |nu| = |lam| + s, every step is (0, j) with j >= 1: the radical is
-    empty and the paths are returned unfiltered.
+    empty and the paths are returned unfiltered, as is an empty list.
     """
-    if size(nu) == size(lam) + s:
+    if not paths or size(nu) == size(lam) + s:
         return paths
     lam = partition(lam)
     reach = len(lam) + s

@@ -19,13 +19,19 @@ Semistandardness reads only the frame-boundary shapes, which no such
 swap changes, so it holds for all members of a class or for none.  The
 counts therefore take the semistandard paths alone and count each
 class at its first member, testing only its lattice flag; the listing
-(mu_classes) still forms every class.
+(mu_classes) still forms every class.  On maximal-depth triples
+count_sstd and count_latticed walk with their weight and
+_horizontal_frame, so the path walk drops a prefix or suffix group at
+its first failing frame; elsewhere, and in class_counts, which shares
+one unweighted walk among all the weights of s, _semistandard_paths
+filters the non-radical paths per weight.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
+from operator import le
 
 from .partitions import composition, partition, partitions_of, regime, size
 from .branching import Tableau, _apply, enumerate_std0, step_key, swap_adjacent
@@ -122,7 +128,8 @@ def _horizontal_frame(prev, cur) -> bool:
 
 def _semistandard_paths(paths, mu) -> list:
     """The paths whose every frame-boundary pair of weight mu passes
-    _horizontal_frame, in order: the one test of semistandardness.  A
+    _horizontal_frame, in order, as enumerate_std0(lam, nu, |mu|, (mu,
+    _horizontal_frame)) keeps them in its walk.  A
     path is dropped at its first failing frame, and each (previous,
     current) pair is tested once per call.  The result is closed under
     frame-interior swaps whenever paths is, since a swap inside a frame
@@ -153,9 +160,7 @@ def _horizontal_over_meet(x, y) -> bool:
     re-validating them.  The skew is horizontal iff every row x_(i+1)
     is at most min(x_i, y_i), that is at most y_i, with the rows past
     the end of y read as 0; so x has at most one row more than y."""
-    if len(x) > len(y) + 1:
-        return False
-    return all(below <= above for below, above in zip(x[1:], y))
+    return len(x) <= len(y) + 1 and all(map(le, x[1:], y))
 
 
 def reading_word(cls: SemistandardClass):
@@ -165,11 +170,14 @@ def reading_word(cls: SemistandardClass):
 
 def _reading_word(steps, weight):
     """The 2 x s array (steps, frames), columns sorted by the step order,
-    ties broken by frame descending; a zero part frames no step."""
-    frames = [c for c, m in enumerate(weight, start=1) for _ in range(m)]
-    cols = sorted(zip(steps, frames, strict=True),
-                  key=lambda col: (step_key(col[0]), -col[1]))
-    return tuple(c[0] for c in cols), tuple(c[1] for c in cols)
+    ties broken by frame descending; a zero part frames no step.  Each
+    distinct step is ranked once, so the columns sort as plain tuples
+    (rank, -frame, step)."""
+    rank = {st: r for r, st in enumerate(sorted(set(steps), key=step_key))}
+    frames = [-c for c, m in enumerate(weight, start=1) for _ in range(m)]
+    cols = sorted(zip(map(rank.__getitem__, steps), frames, steps,
+                      strict=True))
+    return tuple([c[2] for c in cols]), tuple([-c[1] for c in cols])
 
 
 def good_mask(word) -> list[bool]:
@@ -206,26 +214,42 @@ def class_flags(cls: SemistandardClass) -> tuple[bool, bool]:
 def count_sstd(lam, nu, mu) -> int:
     """Number of semistandard classes of weight mu."""
     mu = composition(mu)
-    return _counts(enumerate_std0(lam, nu, size(mu)), mu)[0]
+    return _counts(_semistandard_std0(lam, nu, mu), mu)[0]
 
 
 def count_latticed(lam, nu, mu) -> int:
     """Number of semistandard classes whose frame row is a lattice word."""
     mu = partition(mu)
-    return _counts(enumerate_std0(lam, nu, size(mu)), mu)[1]
+    return _counts(_semistandard_std0(lam, nu, mu), mu)[1]
+
+
+def _semistandard_std0(lam, nu, mu) -> list:
+    """_semistandard_paths(enumerate_std0(lam, nu, |mu|), mu).  At
+    maximal depth, where enumerate_std0 returns the walk unfiltered, the
+    weight goes to the walk, which drops a prefix or suffix group at its
+    first failing frame.  Elsewhere the radical filter keeps few paths
+    (on co-Pieri triples about 1 in 70), so testing frames inside the
+    walk costs more than filtering the kept paths after it."""
+    s = size(mu)
+    if size(nu) == size(lam) + s:
+        return enumerate_std0(lam, nu, s, (mu, _horizontal_frame))
+    return _semistandard_paths(enumerate_std0(lam, nu, s), mu)
 
 
 def class_counts(lam, nu, s: int) -> dict:
     """{mu: (count_sstd(lam, nu, mu), count_latticed(lam, nu, mu))} for
     every partition mu of s, from one enumeration of the non-radical
-    paths of (lam, nu, s) shared by all the weights."""
+    paths of (lam, nu, s) shared by all the weights: walking once per
+    weight instead was slower over the small triples of the sweeps."""
     std0 = enumerate_std0(lam, nu, s)
-    return {mu: _counts(std0, mu) for mu in partitions_of(s)}
+    return {mu: _counts(_semistandard_paths(std0, mu), mu)
+            for mu in partitions_of(s)}
 
 
-def _counts(std0, mu) -> tuple[int, int]:
-    """(semistandard classes, of which latticed) of weight mu among
-    std0's.  A class is the product of its frames' swap components, so
+def _counts(semi, mu) -> tuple[int, int]:
+    """(semistandard classes, of which latticed) of weight mu among the
+    paths semi, the semistandard ones of a non-radical path list in its
+    order.  A class is the product of its frames' swap components, so
     it is counted at its one path whose frames are all _Labels labels
     (as a frame of under two steps is): its first member.  A path is
     dropped at its first other frame; a component is still first reached
@@ -234,7 +258,7 @@ def _counts(std0, mu) -> tuple[int, int]:
               if b - a > 1]
     labels = _Labels()
     sstd = latt = 0
-    for t in _semistandard_paths(std0, mu):
+    for t in semi:
         shapes, steps = t.shapes, t.steps
         for a, b in frames:
             seg = steps[a:b]

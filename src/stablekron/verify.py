@@ -73,7 +73,11 @@ def counting_sweep(max_size: int, max_s: int, n_cap=None):
                 covered = partitions.regime(lam, nu, s)
                 equivalence = (s <= max_size
                                and covered in ("maximal depth", "co-Pieri"))
-                decomposition = s >= 1 and partitions.is_copieri(lam, nu, s)
+                if covered in ("co-Pieri", None):  # regime tested is_copieri
+                    decomposition = covered == "co-Pieri"
+                else:
+                    decomposition = (s >= 1
+                                     and partitions.is_copieri(lam, nu, s))
                 if not (equivalence or decomposition):
                     continue
                 counts = tableaux.class_counts(lam, nu, s)

@@ -5,7 +5,7 @@ import json
 from click.testing import CliRunner
 from hypothesis import given, settings, strategies as st
 
-from stablekron import diagalg, lr, verify
+from stablekron import diagalg, lr, partitions, verify
 from stablekron.cli import main
 from stablekron.partitions import partitions_of
 
@@ -249,6 +249,21 @@ class TestVerify:
         assert sorted(pairs) == sorted(
             (tau, mu) for s in range(1, 5)
             for tau in partitions_of(s) for mu in partitions_of(s))
+
+    def test_copieri_tested_once_per_triple(self, monkeypatch):
+        # the sweep takes "decomposition" from partitions.regime wherever
+        # regime has tested is_copieri, so no triple is tested twice
+        triples = []
+        is_copieri = partitions.is_copieri
+
+        def counted(lam, nu, s):
+            triples.append((lam, nu, s))
+            return is_copieri(lam, nu, s)
+
+        monkeypatch.setattr(partitions, "is_copieri", counted)
+        records = list(verify.counting_sweep(4, 4))
+        assert len(records) == 938
+        assert triples and len(triples) == len(set(triples))
 
     def test_tsv_rows(self):
         result = run_ok("verify", "--max-size", "0", "--max-s", "0",

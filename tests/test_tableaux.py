@@ -15,8 +15,10 @@ from hypothesis import given, settings, strategies as st
 
 from conftest import intersect, is_horizontal, prefix_lattice
 
+from stablekron import branching
 from stablekron.branching import (
-    Tableau, enumerate_std0, step_key, step_str, swap_adjacent,
+    Tableau, enumerate_std, enumerate_std0, step_key, step_str,
+    swap_adjacent,
 )
 from stablekron import lr
 from stablekron.lr import ShapeMismatch, classical_lr, ssyt_count
@@ -30,7 +32,7 @@ from stablekron.tableaux import (
     NotApplicable, SemistandardClass, class_counts, class_flags,
     count_latticed, count_sstd, good_mask, is_lattice, is_semistandard,
     mu_classes, reading_word, stable_kronecker, _form_classes,
-    _horizontal_over_meet, _semistandard_paths,
+    _horizontal_frame, _horizontal_over_meet, _semistandard_paths,
 )
 
 
@@ -272,7 +274,7 @@ class TestClasses:
                         for weight in (mu, mu[:1] + (0,) + mu[1:]):
                             semi = _semistandard_paths(std0, weight)
                             del counted[:]
-                            tableaux._counts(std0, weight)
+                            tableaux._counts(semi, weight)
                             firsts = [c.members[0].steps
                                       for c in _form_classes(semi, weight)]
                             assert counted == firsts, (lam, nu, weight)
@@ -392,6 +394,82 @@ class TestSemistandard:
             assert _horizontal_over_meet(x, y) == want, (x, y)
 
 
+def _walked(paths):
+    return [(t.start, t.steps, t.shapes) for t in paths]
+
+
+class TestWeightedWalk:
+    """The walk with a weight keeps exactly the paths _semistandard_paths
+    keeps, in order, testing frames on shapes inside the walk."""
+
+    def test_equals_filtered_walk(self):
+        pool = partitions_up_to(3)
+        cases = kept = 0
+        for lam in pool:
+            for nu in pool:
+                for s in range(6):
+                    std0 = enumerate_std0(lam, nu, s)
+                    for mu in partitions_of(s):
+                        got = enumerate_std0(lam, nu, s,
+                                             (mu, _horizontal_frame))
+                        assert _walked(got) \
+                            == _walked(_semistandard_paths(std0, mu)), \
+                            (lam, nu, mu)
+                        cases += 1
+                        kept += len(got)
+        assert (cases, kept) == (931, 10662)
+
+    def test_every_kind_of_frame(self):
+        # s = 7 splits at depth 3 and s = 9 at 4: (2, 0, 3, 2) has a frame
+        # inside the prefix, an empty one, one across the split and one
+        # inside the suffix; the unweighted walks keep radical paths too
+        for lam, nu, s, weight in [
+                ((2, 1), (4, 3, 2, 1), 7, (2, 0, 3, 2)),
+                ((1,), (2,), 7, (2, 0, 3, 2)),
+                ((1,), (2, 1), 6, (1, 3, 0, 2)),
+                ((1,), (4, 3, 2, 1), 9, (2, 0, 3, 2, 2)),
+                ((2, 1), (6, 4, 3), 10, (2, 3, 2, 3, 0))]:
+            paths = enumerate_std(lam, nu, s)
+            got = enumerate_std(lam, nu, s, (weight, _horizontal_frame))
+            want = _semistandard_paths(paths, weight)
+            assert 0 < len(want) < len(paths), (lam, nu, weight)
+            assert _walked(got) == _walked(want), (lam, nu, weight)
+
+    def test_dead_end_walks(self, monkeypatch):
+        # a suffix whose groups all fail is stored as an empty list and
+        # built once, however often the walk reaches it again
+        built, revisited = [], []
+        suffixes = branching._suffixes
+
+        def recorded(shape, k, tails):
+            if (shape, k) not in tails:
+                built.append((shape, k))
+            elif not tails[shape, k]:
+                revisited.append((shape, k))
+            return suffixes(shape, k, tails)
+
+        monkeypatch.setattr(branching, "_suffixes", recorded)
+        # the last 3-step frame fails from five shapes at depth 6
+        lam, nu, weight = (), (3, 3, 3), (1, 1, 1, 3, 3)
+        paths = enumerate_std0(lam, nu, 9)
+        del built[:]
+        got = enumerate_std0(lam, nu, 9, (weight, _horizontal_frame))
+        assert _walked(got) == _walked(_semistandard_paths(paths, weight))
+        assert len(got) == 1 and len(revisited) == 5
+        assert built and len(built) == len(set(built))
+        # the 7-step frame crosses the split of s = 9 and fails on all 441
+        # paths, so every prefix meets an empty list of suffix groups
+        lam, nu = (3, 1, 1), (7, 5, 2)
+        assert len(enumerate_std0(lam, nu, 9)) == 441
+        assert enumerate_std0(lam, nu, 9, ((7, 2), _horizontal_frame)) == []
+        assert count_latticed(lam, nu, (7, 2)) == 0
+        assert classical_lr(lam, nu, (7, 2)) == 0
+
+    def test_weight_of_another_size(self):
+        with pytest.raises(ValueError):
+            enumerate_std((1,), (2,), 3, ((2,), _horizontal_frame))
+
+
 class TestReadingWords:
     def test_zero_part_weights_frame_by_cumulative_sums(self):
         # a zero part is an empty frame: it labels no step of the reading
@@ -506,10 +584,13 @@ class TestCounts:
         # equality gate for counting the classes of the semistandard paths
         # only: the reference totals class_flags over every class of the
         # non-radical paths.
-        # Each path list is enumerated once and shared by every call.
+        # Each unweighted path list is enumerated once and shared by every
+        # call; the counts' weighted walks go to the walk itself.
         paths = {}
 
-        def shared_std0(lam, nu, s):
+        def shared_std0(lam, nu, s, frames=None):
+            if frames is not None:
+                return enumerate_std0(lam, nu, s, frames)
             if (lam, nu, s) not in paths:
                 paths[lam, nu, s] = enumerate_std0(lam, nu, s)
             return paths[lam, nu, s]

@@ -15,8 +15,11 @@ from __future__ import annotations
 
 import gc
 from itertools import accumulate, pairwise
+from operator import le
 
-from .partitions import part, partition, size, skew_diff_sizes
+from .partitions import (
+    part, partition, radical_empty, size, skew_diff_sizes,
+)
 
 Step = tuple[int, int]
 
@@ -125,62 +128,61 @@ class Tableau:
         return f"Tableau({self.start}, [{self.serialize()}])"
 
 
-def _extend(out, steps, shapes, d, k, live, tails):
+def _extend(out, steps, shapes, d, k, live, tails, walk):
     """Append to out every path through the prefix steps[:d], which
-    visits shapes[:d + 1]; at depth len(steps) = s - k, emit them in
-    place, each as the prefix plus one suffix of k steps from tails.
-    With frames, a move that ends a frame inside the prefix is taken
-    only when the frame's boundary pair passes tails.test."""
-    shape = shapes[d]
-    if d < len(steps):
-        key = (shape, len(steps) + k - d)
-        moves = live.get(key) or live.setdefault(key, tails.live_moves(*key))
-        a = tails.heads.get(d + 1)
-        if a is not None:
-            first, test = shapes[a], tails.test
-            moves = [move for move in moves if test(first, move[1])]
+    visits shapes[:d + 1], for d < len(steps) = s - k: take each live
+    move into depth d + 1, and from depth s - k emit the paths in place,
+    each as the prefix plus one suffix of k steps from tails.
+    With a weight, a move that ends a frame inside the prefix is taken
+    only when the frame's boundary pair passes _horizontal_frame, and a
+    frame across the split keeps the suffixes that pass it."""
+    key = (shapes[d], len(steps) + k - d)
+    moves = live.get(key) or live.setdefault(key, walk.live_moves(*key))
+    a = walk.heads.get(d + 1)
+    if a is not None:
+        first = shapes[a]
+        moves = [move for move in moves if _horizontal_frame(first, move[1])]
+    if d + 1 < len(steps):
         for st, nxt in moves:
             steps[d], shapes[d + 1] = st, nxt
-            _extend(out, steps, shapes, d + 1, k, live, tails)
+            _extend(out, steps, shapes, d + 1, k, live, tails, walk)
         return
-    new, prefix, head = Tableau.__new__, tuple(steps), tuple(shapes)
-    for after, suffixes in (
-            tails.get((shape, k)) or _suffixes(shape, k, tails)
-            if tails.straddle is None else tails.straddling(head, k)):
-        shared = head + after
-        for suffix in suffixes:
-            t = new(Tableau)
-            t.steps, t.shapes = prefix + suffix, shared
-            out.append(t)
+    new, straddle = Tableau.__new__, walk.straddle
+    for st, nxt in moves:
+        steps[d], shapes[d + 1] = st, nxt
+        prefix, head = tuple(steps), tuple(shapes)
+        for after, suffixes in (
+                tails.get((nxt, k)) or _suffixes(nxt, k, tails, walk)
+                if straddle is None else walk.straddling(head, k, tails)):
+            shared = head + after
+            for suffix in suffixes:
+                t = new(Tableau)
+                t.steps, t.shapes = prefix + suffix, shared
+                out.append(t)
 
 
-class _Tails(dict):
-    """The suffix memo of one walk of s steps split at depth m:
-    {(shape, k): [(shapes after shape, [step suffixes])]}, in step order,
-    read as tails.get((shape, k)) or _suffixes(shape, k, tails).  A dead
-    end is an empty list, which _suffixes finds and returns unbuilt.
-
-    It carries what the walk needs besides: live_moves, and for frames
-    (mu, test) the test and where each frame (a, b) of mu with two or
-    more steps is tested on its boundary shapes at depths a and b:
+class _Walk:
+    """What one walk of s steps split at depth m reads besides its two
+    memos: live_moves, and for a weight mu where each frame (a, b) of mu
+    with two or more steps is tested by _horizontal_frame on its
+    boundary shapes at depths a and b:
     - heads {b: a}: inside the prefix (b <= m), on the moves into depth
       b, once per prefix of b steps;
     - straddle (a, b - m - 1): across the split, on the suffix groups of
       a prefix, once per (shape, k, shape at depth a), stored under that
-      key in this dict;
+      key in the suffix memo;
     - inner {s - a: b - a - 1}: inside the suffix, on the groups from
-      the shape at depth a, once per entry.
+      the shape at depth a, once per suffix memo entry.
     """
 
-    __slots__ = ("live_moves", "test", "heads", "straddle", "inner")
+    __slots__ = ("live_moves", "heads", "straddle", "inner")
 
-    def __init__(self, live_moves, s, m, frames):
+    def __init__(self, live_moves, s, m, weight):
         self.live_moves = live_moves
-        self.test, self.heads, self.straddle, self.inner = None, {}, None, {}
-        if frames is None:
+        self.heads, self.straddle, self.inner = {}, None, {}
+        if weight is None:
             return
-        mu, self.test = frames
-        for a, b in pairwise(accumulate(mu, initial=0)):
+        for a, b in pairwise(accumulate(weight, initial=0)):
             if b - a < 2:
                 continue
             if b <= m:
@@ -190,60 +192,84 @@ class _Tails(dict):
             else:
                 self.inner[s - a] = b - a - 1
 
-    def straddling(self, head, k):
+    def straddling(self, head, k, tails):
         """The suffix groups from head[-1] in k steps whose shapes pass
-        the test of the frame across the split, after the prefix that
-        visits head."""
+        the frame test across the split, after the prefix that visits
+        head."""
         a, end = self.straddle
         first, shape = head[a], head[-1]
         key = (shape, k, first)
-        groups = self.get(key)
+        groups = tails.get(key)
         if groups is None:
-            groups = self[key] = _passing(_suffixes(shape, k, self), first,
-                                          end, self.test)
+            groups = tails[key] = _passing(_suffixes(shape, k, tails, self),
+                                           first, end)
         return groups
 
 
-def _suffixes(shape, k, tails):
+def _suffixes(shape, k, tails, walk):
     """tails[shape, k], built and stored if absent: the last k steps of
     the paths from shape, in step order, as [(shapes after shape, [step
-    suffixes])]; the suffixes of a group differ only in their last step.
-    With frames, a group is dropped when the frame that starts at shape
-    lies inside the suffix and fails the test."""
+    suffixes])]; the suffixes of a group differ only in their last step,
+    and k = 0 (when s = 1) leaves one empty suffix.  The memo tails is
+    read as tails.get((shape, k)) or _suffixes(shape, k, tails, walk); a
+    dead end is an empty list, which this finds and returns unbuilt.
+    With a weight, a group is dropped when the frame that starts at
+    shape lies inside the suffix and fails the frame test."""
     groups = tails.get((shape, k))
     if groups is not None:
         return groups
-    moves = tails.live_moves(shape, k)
-    if k == 1:
-        groups = [((moves[0][1],), [(st,) for st, _ in moves])]
+    if k == 0:
+        groups = [((), [()])]
     else:
-        groups = [((nxt,) + after, [(st,) + suffix for suffix in suffixes])
-                  for st, nxt in moves
-                  for after, suffixes in tails.get((nxt, k - 1))
-                  or _suffixes(nxt, k - 1, tails)]
-        end = tails.inner.get(k)
-        if end is not None:
-            groups = _passing(groups, shape, end, tails.test)
+        moves = walk.live_moves(shape, k)
+        if k == 1:
+            groups = [((moves[0][1],), [(st,) for st, _ in moves])]
+        else:
+            groups = [((nxt,) + after, [(st,) + sfx for sfx in suffixes])
+                      for st, nxt in moves
+                      for after, suffixes in tails.get((nxt, k - 1))
+                      or _suffixes(nxt, k - 1, tails, walk)]
+            end = walk.inner.get(k)
+            if end is not None:
+                groups = _passing(groups, shape, end)
     tails[shape, k] = groups
     return groups
 
 
-def _passing(groups, first, end, test):
-    """The suffix groups whose shape at index end passes test(first,
-    shape), in order, testing each distinct shape once."""
-    ok = {cur: test(first, cur) for cur in {group[0][end] for group in groups}}
+def _passing(groups, first, end):
+    """The suffix groups whose shape at index end passes
+    _horizontal_frame(first, shape), in order, testing each distinct
+    shape once."""
+    ok = {cur: _horizontal_frame(first, cur)
+          for cur in {group[0][end] for group in groups}}
     return [group for group in groups if ok[group[0][end]]]
 
 
-def enumerate_std(lam, nu, s: int, frames=None) -> list[Tableau]:
+def _horizontal_frame(prev, cur) -> bool:
+    """True iff the frame from boundary shape prev to boundary shape cur
+    has both one-sided skews (relative to their intersection) horizontal:
+    the test a semistandard class passes on each frame."""
+    return (_horizontal_over_meet(cur, prev)
+            and _horizontal_over_meet(prev, cur))
+
+
+def _horizontal_over_meet(x, y) -> bool:
+    """is_horizontal(x, intersect(x, y)) for partitions x and y, without
+    re-validating them.  The skew is horizontal iff every row x_(i+1)
+    is at most min(x_i, y_i), that is at most y_i, with the rows past
+    the end of y read as 0; so x has at most one row more than y."""
+    return len(x) <= len(y) + 1 and all(map(le, x[1:], y))
+
+
+def enumerate_std(lam, nu, s: int, weight=None) -> list[Tableau]:
     """All standard tableaux (paths) from lam to nu in s integral steps,
     in lexicographic order of step sequences under the step order.
 
-    frames, when given, is a pair (mu, test) of a composition mu of s
-    and a test on two partitions; the walk then keeps only the paths
-    whose every frame of mu (steps 1..mu_1, then the next mu_2 steps,
-    and so on) of two or more steps has boundary shapes (prev, cur)
-    with test(prev, cur) true, in the same order.
+    weight, when given, is a composition mu of s; the walk then keeps
+    only the paths whose every frame of mu (steps 1..mu_1, then the next
+    mu_2 steps, and so on) of two or more steps has boundary shapes
+    (prev, cur) with _horizontal_frame(prev, cur) true, in the same
+    order: the semistandard paths of weight mu.
 
     Depth-first over live prefixes only.  A shape t is at distance
     max(a, b) from nu, where a = |t| - |t ∩ nu| and b = |nu| - |t ∩ nu|:
@@ -251,8 +277,8 @@ def enumerate_std(lam, nu, s: int, frames=None) -> list[Tableau]:
     removals of t / (t ∩ nu) with the additions of nu / (t ∩ nu) reaches
     nu in exactly that many steps, dummy steps using up any surplus.  So
     a step is taken exactly when its shape's distance is at most the
-    steps left after it, and without frames every prefix visited
-    extends to a path; with them a prefix may lead only to paths whose
+    steps left after it, and without a weight every prefix visited
+    extends to a path; with one a prefix may lead only to paths whose
     frames fail.
     live_moves finds a and b once per shape and counts each move from
     them: taking the last box of row i lowers a when t_i > nu_i, else
@@ -263,20 +289,22 @@ def enumerate_std(lam, nu, s: int, frames=None) -> list[Tableau]:
     (|nu| = |lam| + s) every removal is.
 
     The walk is _extend, a module-level recursion over the first s - k
-    steps, k = ceil(s / 2), that memoizes their live moves per shape and
-    steps left.  Their last k steps are built once per shape at depth
-    s - k by _suffixes, grouped by all but their last step so that the
-    paths of one prefix and group share one shapes tuple.  A frame test
+    steps, k = ceil(s / 2) (k = 0 when s = 1), that memoizes their live
+    moves per shape and steps left and emits the paths as it takes each
+    move into depth s - k, with no call per prefix there.  Their last k
+    steps are built once per shape at depth s - k by _suffixes, grouped
+    by all but their last step so that the paths of one prefix and group
+    share one shapes tuple.  A frame test
     reads shapes only, so it runs on prefix moves and suffix groups (see
-    _Tails), never once per path.  Both memos are dicts local to the
-    call, passed down as arguments; the suffix memo, a _Tails, also
-    carries live_moves and the frame tests, so no nested function refers
-    to itself.
+    _Walk), never once per path.  Both memos are dicts local to the
+    call, passed down as arguments with a _Walk that carries live_moves
+    and where the frames are tested, so no nested function refers to
+    itself.
     """
     if s < 0:
         raise ValueError("s must be non-negative")
-    if frames is not None and size(frames[0]) != s:
-        raise ValueError("the weight of frames must have size s")
+    if weight is not None and size(weight) != s:
+        raise ValueError("the weight must have size s")
     lam = partition(lam)
     nu = partition(nu)
     out: list[Tableau] = []
@@ -310,9 +338,9 @@ def enumerate_std(lam, nu, s: int, frames=None) -> list[Tableau]:
     if s == 0:
         out.append(Tableau._trusted((), (lam,)))
         return out
-    m = s // 2  # the prefix half; the suffix half is k = s - m steps
-    _extend(out, [(0, 0)] * m, [lam] * (m + 1), 0, s - m, {},
-            _Tails(live_moves, s, m, frames))
+    m = s // 2 or 1  # the prefix; the suffix is k = s - m steps
+    _extend(out, [(0, 0)] * m, [lam] * (m + 1), 0, s - m, {}, {},
+            _Walk(live_moves, s, m, weight))
     return out
 
 
@@ -339,11 +367,9 @@ def dvir_removal_witness(t: Tableau):
     return min(witnesses) if witnesses else None
 
 
-def enumerate_std0(lam, nu, s: int, frames=None) -> list[Tableau]:
-    """enumerate_std(lam, nu, s, frames) filtered to paths outside the
-    Dvir radical, in the same order.  The counts pass frames only at
-    maximal depth, where the radical is empty (see
-    tableaux._semistandard_std0).
+def enumerate_std0(lam, nu, s: int, weight=None) -> list[Tableau]:
+    """enumerate_std(lam, nu, s, weight) filtered to paths outside the
+    Dvir radical, in the same order.
 
     The cyclic collector is held off while the paths are built and
     filtered, and put back as the caller had it, even on error: a
@@ -356,8 +382,8 @@ def enumerate_std0(lam, nu, s: int, frames=None) -> list[Tableau]:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        args = (lam, nu, s) if frames is None else (lam, nu, s, frames)
-        return _outside_radical(enumerate_std(*args), lam, nu, s)
+        return _outside_radical(enumerate_std(lam, nu, s, weight),
+                                lam, nu, s)
     finally:
         if enabled:
             gc.enable()
@@ -375,11 +401,10 @@ def _outside_radical(paths, lam, nu, s: int) -> list[Tableau]:
     A path that passes walks its steps down a copy of the row capacities
     -- the steps that remove nothing, never more than s, then the
     start's parts -- and is dropped at the first row that goes negative.
-    A step changes the size by -1, 0 or +1, so at maximal depth,
-    |nu| = |lam| + s, every step is (0, j) with j >= 1: the radical is
-    empty and the paths are returned unfiltered, as is an empty list.
+    Where partitions.radical_empty holds (at maximal depth) the paths
+    are returned unfiltered, as is an empty list.
     """
-    if not paths or size(nu) == size(lam) + s:
+    if not paths or radical_empty(lam, nu, s):
         return paths
     lam = partition(lam)
     reach = len(lam) + s

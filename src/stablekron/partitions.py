@@ -120,6 +120,14 @@ def is_maximal_depth(lam, nu, s: int) -> bool:
     return contains(lam, nu) and size(nu) == size(lam) + s
 
 
+def radical_empty(lam, nu, s: int) -> bool:
+    """True iff |nu| = |lam| + s, as at maximal depth.  A step changes
+    the size by -1, 0 or +1, so then every step of a path from lam to nu
+    in s steps is (0, j) with j >= 1, and no such path is in the Dvir
+    radical."""
+    return size(nu) == size(lam) + s
+
+
 def regime(lam, nu, s: int):
     """How the counting rule treats the triple (lam, nu, s), tested in
     this order: "out of range" unless in_bounds (the coefficient is 0),

@@ -19,10 +19,11 @@ Semistandardness reads only the frame-boundary shapes, which no such
 swap changes, so it holds for all members of a class or for none.  The
 counts therefore take the semistandard paths alone and count each
 class at its first member, testing only its lattice flag; the listing
-(mu_classes) still forms every class.  On maximal-depth triples
-count_sstd and count_latticed walk with their weight and
-_horizontal_frame, so the path walk drops a prefix or suffix group at
-its first failing frame; elsewhere, and in class_counts, which shares
+(mu_classes) still forms every class.  The frame test,
+_horizontal_frame, lives in branching beside the path walk.  On
+maximal-depth triples count_sstd and count_latticed walk with their
+weight, so the walk drops a prefix or suffix group at its first
+failing frame; elsewhere, and in class_counts, which shares
 one unweighted walk among all the weights of s, _semistandard_paths
 filters the non-radical paths per weight.
 """
@@ -31,10 +32,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import accumulate, pairwise
-from operator import le
 
-from .partitions import composition, partition, partitions_of, regime, size
-from .branching import Tableau, _apply, enumerate_std0, step_key, swap_adjacent
+from .partitions import (
+    composition, partition, partitions_of, radical_empty, regime, size,
+)
+from .branching import (
+    Tableau, _apply, _horizontal_frame, enumerate_std0, step_key,
+    swap_adjacent,
+)
 # the benchmark's maximal-depth reference reads tableaux.classical_lr
 from .lr import classical_lr  # noqa: F401
 
@@ -119,21 +124,13 @@ def is_semistandard(cls: SemistandardClass) -> bool:
     return bool(_semistandard_paths(cls.members[:1], cls.weight))
 
 
-def _horizontal_frame(prev, cur) -> bool:
-    """True iff the frame from boundary shape prev to boundary shape cur
-    has both one-sided skews (relative to their intersection) horizontal."""
-    return (_horizontal_over_meet(cur, prev)
-            and _horizontal_over_meet(prev, cur))
-
-
 def _semistandard_paths(paths, mu) -> list:
     """The paths whose every frame-boundary pair of weight mu passes
-    _horizontal_frame, in order, as enumerate_std0(lam, nu, |mu|, (mu,
-    _horizontal_frame)) keeps them in its walk.  A
-    path is dropped at its first failing frame, and each (previous,
-    current) pair is tested once per call.  The result is closed under
-    frame-interior swaps whenever paths is, since a swap inside a frame
-    keeps every boundary shape."""
+    _horizontal_frame, in order, as enumerate_std0(lam, nu, |mu|, mu)
+    keeps them in its walk.  A path is dropped at its first failing
+    frame, and each (previous, current) pair is tested once per call.
+    The result is closed under frame-interior swaps whenever paths is,
+    since a swap inside a frame keeps every boundary shape."""
     if not paths:
         return paths
     cuts = list(accumulate(mu))
@@ -153,14 +150,6 @@ def _semistandard_paths(paths, mu) -> list:
         else:
             kept.append(t)
     return kept
-
-
-def _horizontal_over_meet(x, y) -> bool:
-    """is_horizontal(x, intersect(x, y)) for partitions x and y, without
-    re-validating them.  The skew is horizontal iff every row x_(i+1)
-    is at most min(x_i, y_i), that is at most y_i, with the rows past
-    the end of y read as 0; so x has at most one row more than y."""
-    return len(x) <= len(y) + 1 and all(map(le, x[1:], y))
 
 
 def reading_word(cls: SemistandardClass):
@@ -224,15 +213,16 @@ def count_latticed(lam, nu, mu) -> int:
 
 
 def _semistandard_std0(lam, nu, mu) -> list:
-    """_semistandard_paths(enumerate_std0(lam, nu, |mu|), mu).  At
-    maximal depth, where enumerate_std0 returns the walk unfiltered, the
-    weight goes to the walk, which drops a prefix or suffix group at its
-    first failing frame.  Elsewhere the radical filter keeps few paths
-    (on co-Pieri triples about 1 in 70), so testing frames inside the
-    walk costs more than filtering the kept paths after it."""
+    """_semistandard_paths(enumerate_std0(lam, nu, |mu|), mu).  Where
+    partitions.radical_empty holds (at maximal depth), enumerate_std0
+    returns the walk unfiltered and the weight goes to the walk, which
+    drops a prefix or suffix group at its first failing frame.
+    Elsewhere the radical filter keeps few paths (on co-Pieri triples
+    about 1 in 70), so testing frames inside the walk costs more than
+    filtering the kept paths after it."""
     s = size(mu)
-    if size(nu) == size(lam) + s:
-        return enumerate_std0(lam, nu, s, (mu, _horizontal_frame))
+    if radical_empty(lam, nu, s):
+        return enumerate_std0(lam, nu, s, mu)
     return _semistandard_paths(enumerate_std0(lam, nu, s), mu)
 
 

@@ -25,7 +25,7 @@ CALLS = {
     # the same walk with a weight whose frames lie inside the prefix,
     # across the split and inside the suffix: 384 paths kept
     "enumerate_std_weighted": lambda: enumerate_std(
-        (1,), (4, 3, 2, 1), 9, ((2, 0, 3, 2, 2), tableaux._horizontal_frame)),
+        (1,), (4, 3, 2, 1), 9, (2, 0, 3, 2, 2)),
     "class_counts": lambda: tableaux.class_counts((2, 1), (3, 1), 4),
     "copieri": lambda: tableaux.stable_kronecker((4,), (5,), (3, 2)),
     # 11,242 paths, 141 of them outside the radical

@@ -18,7 +18,7 @@ from conftest import intersect, is_horizontal, prefix_lattice
 from stablekron import branching
 from stablekron.branching import (
     Tableau, enumerate_std, enumerate_std0, step_key, step_str,
-    swap_adjacent,
+    swap_adjacent, _horizontal_over_meet,
 )
 from stablekron import lr
 from stablekron.lr import ShapeMismatch, classical_lr, ssyt_count
@@ -32,7 +32,7 @@ from stablekron.tableaux import (
     NotApplicable, SemistandardClass, class_counts, class_flags,
     count_latticed, count_sstd, good_mask, is_lattice, is_semistandard,
     mu_classes, reading_word, stable_kronecker, _form_classes,
-    _horizontal_frame, _horizontal_over_meet, _semistandard_paths,
+    _semistandard_paths,
 )
 
 
@@ -410,8 +410,7 @@ class TestWeightedWalk:
                 for s in range(6):
                     std0 = enumerate_std0(lam, nu, s)
                     for mu in partitions_of(s):
-                        got = enumerate_std0(lam, nu, s,
-                                             (mu, _horizontal_frame))
+                        got = enumerate_std0(lam, nu, s, mu)
                         assert _walked(got) \
                             == _walked(_semistandard_paths(std0, mu)), \
                             (lam, nu, mu)
@@ -430,7 +429,7 @@ class TestWeightedWalk:
                 ((1,), (4, 3, 2, 1), 9, (2, 0, 3, 2, 2)),
                 ((2, 1), (6, 4, 3), 10, (2, 3, 2, 3, 0))]:
             paths = enumerate_std(lam, nu, s)
-            got = enumerate_std(lam, nu, s, (weight, _horizontal_frame))
+            got = enumerate_std(lam, nu, s, weight)
             want = _semistandard_paths(paths, weight)
             assert 0 < len(want) < len(paths), (lam, nu, weight)
             assert _walked(got) == _walked(want), (lam, nu, weight)
@@ -441,19 +440,19 @@ class TestWeightedWalk:
         built, revisited = [], []
         suffixes = branching._suffixes
 
-        def recorded(shape, k, tails):
+        def recorded(shape, k, tails, walk):
             if (shape, k) not in tails:
                 built.append((shape, k))
             elif not tails[shape, k]:
                 revisited.append((shape, k))
-            return suffixes(shape, k, tails)
+            return suffixes(shape, k, tails, walk)
 
         monkeypatch.setattr(branching, "_suffixes", recorded)
         # the last 3-step frame fails from five shapes at depth 6
         lam, nu, weight = (), (3, 3, 3), (1, 1, 1, 3, 3)
         paths = enumerate_std0(lam, nu, 9)
         del built[:]
-        got = enumerate_std0(lam, nu, 9, (weight, _horizontal_frame))
+        got = enumerate_std0(lam, nu, 9, weight)
         assert _walked(got) == _walked(_semistandard_paths(paths, weight))
         assert len(got) == 1 and len(revisited) == 5
         assert built and len(built) == len(set(built))
@@ -461,13 +460,13 @@ class TestWeightedWalk:
         # paths, so every prefix meets an empty list of suffix groups
         lam, nu = (3, 1, 1), (7, 5, 2)
         assert len(enumerate_std0(lam, nu, 9)) == 441
-        assert enumerate_std0(lam, nu, 9, ((7, 2), _horizontal_frame)) == []
+        assert enumerate_std0(lam, nu, 9, (7, 2)) == []
         assert count_latticed(lam, nu, (7, 2)) == 0
         assert classical_lr(lam, nu, (7, 2)) == 0
 
     def test_weight_of_another_size(self):
         with pytest.raises(ValueError):
-            enumerate_std((1,), (2,), 3, ((2,), _horizontal_frame))
+            enumerate_std((1,), (2,), 3, (2,))
 
 
 class TestReadingWords:
@@ -588,9 +587,9 @@ class TestCounts:
         # call; the counts' weighted walks go to the walk itself.
         paths = {}
 
-        def shared_std0(lam, nu, s, frames=None):
-            if frames is not None:
-                return enumerate_std0(lam, nu, s, frames)
+        def shared_std0(lam, nu, s, weight=None):
+            if weight is not None:
+                return enumerate_std0(lam, nu, s, weight)
             if (lam, nu, s) not in paths:
                 paths[lam, nu, s] = enumerate_std0(lam, nu, s)
             return paths[lam, nu, s]

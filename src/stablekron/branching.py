@@ -131,14 +131,12 @@ class Tableau:
 def _extend(out, steps, shapes, d, k, live, tails, walk):
     """Append to out every path through the prefix steps[:d], which
     visits shapes[:d + 1], for d < len(steps) = s - k: take each live
-    move into depth d + 1, and from depth s - k emit the paths in place,
-    each as the prefix plus one suffix of k steps from tails.
-    With a weight, a move that ends a frame inside the prefix is taken
-    only when the frame's boundary pair passes _horizontal_frame, and a
-    frame across the split keeps the suffixes that pass it."""
+    move into depth d + 1 that passes the frame test there (see _Walk),
+    and from depth s - k emit the paths in place, each as the prefix
+    plus one suffix of k steps from tails."""
     key = (shapes[d], len(steps) + k - d)
     moves = live.get(key) or live.setdefault(key, walk.live_moves(*key))
-    a = walk.heads.get(d + 1)
+    a = walk.ends.get(d + 1)
     if a is not None:
         first = shapes[a]
         moves = [move for move in moves if _horizontal_frame(first, move[1])]
@@ -147,13 +145,13 @@ def _extend(out, steps, shapes, d, k, live, tails, walk):
             steps[d], shapes[d + 1] = st, nxt
             _extend(out, steps, shapes, d + 1, k, live, tails, walk)
         return
-    new, straddle = Tableau.__new__, walk.straddle
+    new, a = Tableau.__new__, walk.opens.get(d + 1)
     for st, nxt in moves:
         steps[d], shapes[d + 1] = st, nxt
         prefix, head = tuple(steps), tuple(shapes)
-        for after, suffixes in (
-                tails.get((nxt, k)) or _suffixes(nxt, k, tails, walk)
-                if straddle is None else walk.straddling(head, k, tails)):
+        first = None if a is None else head[a]
+        for after, suffixes in (tails.get((nxt, k, first))
+                                or _suffixes(nxt, k, first, tails, walk)):
             shared = head + after
             for suffix in suffixes:
                 t = new(Tableau)
@@ -162,87 +160,63 @@ def _extend(out, steps, shapes, d, k, live, tails, walk):
 
 
 class _Walk:
-    """What one walk of s steps split at depth m reads besides its two
-    memos: live_moves, and for a weight mu where each frame (a, b) of mu
-    with two or more steps is tested by _horizontal_frame on its
-    boundary shapes at depths a and b:
-    - heads {b: a}: inside the prefix (b <= m), on the moves into depth
-      b, once per prefix of b steps;
-    - straddle (a, b - m - 1): across the split, on the suffix groups of
-      a prefix, once per (shape, k, shape at depth a), stored under that
-      key in the suffix memo;
-    - inner {s - a: b - a - 1}: inside the suffix, on the groups from
-      the shape at depth a, once per suffix memo entry.
+    """What one walk of s steps reads besides its two memos: live_moves,
+    and for a weight mu where its frames of two or more steps are tested.
+    A frame (a, b) is tested on each move into depth b, which is taken
+    only if _horizontal_frame(shape at depth a, shape after the move)
+    holds: ends maps b to a, and opens maps each depth d with
+    a <= d < b to a, the start of the frame open there.
     """
 
-    __slots__ = ("live_moves", "heads", "straddle", "inner")
+    __slots__ = ("live_moves", "s", "ends", "opens")
 
-    def __init__(self, live_moves, s, m, weight):
-        self.live_moves = live_moves
-        self.heads, self.straddle, self.inner = {}, None, {}
-        if weight is None:
-            return
-        for a, b in pairwise(accumulate(weight, initial=0)):
-            if b - a < 2:
-                continue
-            if b <= m:
-                self.heads[b] = a
-            elif a < m:
-                self.straddle = (a, b - m - 1)
-            else:
-                self.inner[s - a] = b - a - 1
-
-    def straddling(self, head, k, tails):
-        """The suffix groups from head[-1] in k steps whose shapes pass
-        the frame test across the split, after the prefix that visits
-        head."""
-        a, end = self.straddle
-        first, shape = head[a], head[-1]
-        key = (shape, k, first)
-        groups = tails.get(key)
-        if groups is None:
-            groups = tails[key] = _passing(_suffixes(shape, k, tails, self),
-                                           first, end)
-        return groups
+    def __init__(self, live_moves, s, weight):
+        self.live_moves, self.s, self.ends, self.opens = live_moves, s, {}, {}
+        for a, b in pairwise(accumulate(weight or (), initial=0)):
+            if b - a > 1:
+                self.ends[b] = a
+                self.opens.update(dict.fromkeys(range(a, b), a))
 
 
-def _suffixes(shape, k, tails, walk):
-    """tails[shape, k], built and stored if absent: the last k steps of
-    the paths from shape, in step order, as [(shapes after shape, [step
-    suffixes])]; the suffixes of a group differ only in their last step,
-    and k = 0 (when s = 1) leaves one empty suffix.  The memo tails is
-    read as tails.get((shape, k)) or _suffixes(shape, k, tails, walk); a
-    dead end is an empty list, which this finds and returns unbuilt.
-    With a weight, a group is dropped when the frame that starts at
-    shape lies inside the suffix and fails the frame test."""
-    groups = tails.get((shape, k))
+def _suffixes(shape, k, first, tails, walk):
+    """tails[shape, k, first], built and stored if absent: the last k
+    steps of the paths from shape at depth s - k, in step order, as
+    [(shapes after shape, [step suffixes])]; the suffixes of a group
+    differ only in their last step, and k = 0 (when s = 1) leaves one
+    empty suffix.  first is the shape at depth a of the tested frame
+    (a, b) open at depth s - k, or None if there is none (so always
+    without a weight); a move into depth b is taken only if it passes
+    _horizontal_frame(first, shape after the move).  The memo tails is
+    read as tails.get((shape, k, first)) or _suffixes(shape, k, first,
+    tails, walk); a dead end is an empty list, which this finds and
+    returns unbuilt."""
+    groups = tails.get((shape, k, first))
     if groups is not None:
         return groups
     if k == 0:
         groups = [((), [()])]
     else:
+        d = walk.s - k + 1  # the depth the moves go into
         moves = walk.live_moves(shape, k)
+        if d in walk.ends:
+            moves = [move for move in moves
+                     if _horizontal_frame(first, move[1])]
         if k == 1:
-            groups = [((moves[0][1],), [(st,) for st, _ in moves])]
+            groups = [((moves[0][1],), [(st,) for st, _ in moves])] \
+                if moves else []
         else:
+            # the next key's first: the new shape where a tested frame
+            # starts at depth d, first while one stays open, else None
+            a = walk.opens.get(d)
+            fresh, held = a == d, None if a is None else first
             groups = [((nxt,) + after, [(st,) + sfx for sfx in suffixes])
                       for st, nxt in moves
-                      for after, suffixes in tails.get((nxt, k - 1))
-                      or _suffixes(nxt, k - 1, tails, walk)]
-            end = walk.inner.get(k)
-            if end is not None:
-                groups = _passing(groups, shape, end)
-    tails[shape, k] = groups
+                      for after, suffixes in
+                      tails.get((nxt, k - 1, nxt if fresh else held))
+                      or _suffixes(nxt, k - 1, nxt if fresh else held,
+                                   tails, walk)]
+    tails[shape, k, first] = groups
     return groups
-
-
-def _passing(groups, first, end):
-    """The suffix groups whose shape at index end passes
-    _horizontal_frame(first, shape), in order, testing each distinct
-    shape once."""
-    ok = {cur: _horizontal_frame(first, cur)
-          for cur in {group[0][end] for group in groups}}
-    return [group for group in groups if ok[group[0][end]]]
 
 
 def _horizontal_frame(prev, cur) -> bool:
@@ -294,12 +268,12 @@ def enumerate_std(lam, nu, s: int, weight=None) -> list[Tableau]:
     move into depth s - k, with no call per prefix there.  Their last k
     steps are built once per shape at depth s - k by _suffixes, grouped
     by all but their last step so that the paths of one prefix and group
-    share one shapes tuple.  A frame test
-    reads shapes only, so it runs on prefix moves and suffix groups (see
-    _Walk), never once per path.  Both memos are dicts local to the
-    call, passed down as arguments with a _Walk that carries live_moves
-    and where the frames are tested, so no nested function refers to
-    itself.
+    share one shapes tuple.  Both halves test a frame by one rule, on
+    the moves into its last depth against its first shape (see _Walk),
+    never once per path; the suffix memo also keys on that first shape
+    while the frame is open.  Both memos are dicts local to the call,
+    passed down as arguments with a _Walk that carries live_moves and
+    where the frames are tested, so no nested function refers to itself.
     """
     if s < 0:
         raise ValueError("s must be non-negative")
@@ -340,7 +314,7 @@ def enumerate_std(lam, nu, s: int, weight=None) -> list[Tableau]:
         return out
     m = s // 2 or 1  # the prefix; the suffix is k = s - m steps
     _extend(out, [(0, 0)] * m, [lam] * (m + 1), 0, s - m, {}, {},
-            _Walk(live_moves, s, m, weight))
+            _Walk(live_moves, s, weight))
     return out
 
 

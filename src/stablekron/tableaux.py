@@ -22,8 +22,8 @@ class at its first member, testing only its lattice flag; the listing
 (mu_classes) still forms every class.  The frame test,
 _horizontal_frame, lives in branching beside the path walk.  On
 maximal-depth triples count_sstd and count_latticed walk with their
-weight, so the walk drops a prefix or suffix group at its first
-failing frame; elsewhere, and in class_counts, which shares
+weight, so the walk drops each move into a frame's last depth that
+fails the frame test; elsewhere, and in class_counts, which shares
 one unweighted walk among all the weights of s, _semistandard_paths
 filters the non-radical paths per weight.
 """
@@ -216,7 +216,7 @@ def _semistandard_std0(lam, nu, mu) -> list:
     """_semistandard_paths(enumerate_std0(lam, nu, |mu|), mu).  Where
     partitions.radical_empty holds (at maximal depth), enumerate_std0
     returns the walk unfiltered and the weight goes to the walk, which
-    drops a prefix or suffix group at its first failing frame.
+    drops each move into a frame's last depth that fails the frame test.
     Elsewhere the radical filter keeps few paths (on co-Pieri triples
     about 1 in 70), so testing frames inside the walk costs more than
     filtering the kept paths after it."""

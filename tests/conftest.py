@@ -28,6 +28,14 @@ def clear_memos() -> None:
         memo.cache_clear()
 
 
+def suffix_memo_key(args):
+    """The suffix memo a call of the path walk's _suffixes is passed (its
+    one dict argument) and the call's key in it (the arguments before
+    the memo), read from the call's arguments alone."""
+    tails = next(arg for arg in args if type(arg) is dict)
+    return tails, args[:args.index(tails)]
+
+
 def pad(lam, n: int) -> tuple[int, ...]:
     """Prepend a first row of n - |lam| boxes; must yield a partition."""
     first = n - size(lam)

@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from conftest import brute_skew_syt_count, intersect, pad
+from conftest import brute_skew_syt_count, intersect, pad, suffix_memo_key
 
 from stablekron import branching
 from stablekron.branching import (
@@ -237,17 +237,23 @@ class TestEnumeration:
         # the recursion calls itself down to depth s - ceil(s / 2) - 1,
         # takes the moves into depth s - ceil(s / 2) and emits each path
         # there as its prefix plus one suffix of the last ceil(s / 2)
-        # steps, which _suffixes builds once per (shape, k) in a call
-        depths, built = [], []
+        # steps, which _suffixes builds once per memo key in a call
+        depths, built, level = [], [], [0]
         extend, suffixes = branching._extend, branching._suffixes
 
-        def counted(out, steps, shapes, d, *rest):
-            depths.append(d)
-            return extend(out, steps, shapes, d, *rest)
+        def counted(*args):
+            # every recursive call goes through the spy, so its nesting
+            # level is the depth
+            depths.append(level[0])
+            level[0] += 1
+            try:
+                return extend(*args)
+            finally:
+                level[0] -= 1
 
-        def recorded(shape, k, *rest):
-            built.append((shape, k))
-            return suffixes(shape, k, *rest)
+        def recorded(*args):
+            built.append(suffix_memo_key(args)[1])
+            return suffixes(*args)
 
         monkeypatch.setattr(branching, "_extend", counted)
         monkeypatch.setattr(branching, "_suffixes", recorded)

@@ -22,8 +22,9 @@ CALLS = {
     "enumerate_std0": lambda: enumerate_std0((2,), (5,), 6),
     # 768 paths whose suffixes of 5 steps share nested lists and tuples
     "enumerate_std_suffixes": lambda: enumerate_std((1,), (4, 3, 2, 1), 9),
-    # the same walk with a weight whose frames lie inside the prefix,
-    # across the split and inside the suffix: 384 paths kept
+    # the same walk with a weight, whose frames are tested on the moves
+    # of both halves and key the suffix memo on their first shapes:
+    # 384 paths kept
     "enumerate_std_weighted": lambda: enumerate_std(
         (1,), (4, 3, 2, 1), 9, (2, 0, 3, 2, 2)),
     "class_counts": lambda: tableaux.class_counts((2, 1), (3, 1), 4),

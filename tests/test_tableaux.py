@@ -13,7 +13,9 @@ from itertools import accumulate, combinations, product
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from conftest import intersect, is_horizontal, prefix_lattice
+from conftest import (
+    intersect, is_horizontal, prefix_lattice, suffix_memo_key,
+)
 
 from stablekron import branching
 from stablekron.branching import (
@@ -419,15 +421,19 @@ class TestWeightedWalk:
         assert (cases, kept) == (931, 10662)
 
     def test_every_kind_of_frame(self):
-        # s = 7 splits at depth 3 and s = 9 at 4: (2, 0, 3, 2) has a frame
-        # inside the prefix, an empty one, one across the split and one
-        # inside the suffix; the unweighted walks keep radical paths too
+        # s = 7 splits at depth 3, s = 8 and s = 9 at 4: (2, 0, 3, 2) has
+        # a frame inside the prefix, an empty one, one across the split
+        # and one inside the suffix; in (4, 3, 1) a frame ends exactly at
+        # the split and the next starts there; in (4, 3, 2) the last ends
+        # at depth s.  The unweighted walks keep radical paths too
         for lam, nu, s, weight in [
                 ((2, 1), (4, 3, 2, 1), 7, (2, 0, 3, 2)),
                 ((1,), (2,), 7, (2, 0, 3, 2)),
                 ((1,), (2, 1), 6, (1, 3, 0, 2)),
                 ((1,), (4, 3, 2, 1), 9, (2, 0, 3, 2, 2)),
-                ((2, 1), (6, 4, 3), 10, (2, 3, 2, 3, 0))]:
+                ((2, 1), (6, 4, 3), 10, (2, 3, 2, 3, 0)),
+                ((4, 2), (7, 4, 3), 8, (4, 3, 1)),
+                ((2, 1, 1), (6, 4, 3), 9, (4, 3, 2))]:
             paths = enumerate_std(lam, nu, s)
             got = enumerate_std(lam, nu, s, weight)
             want = _semistandard_paths(paths, weight)
@@ -435,26 +441,30 @@ class TestWeightedWalk:
             assert _walked(got) == _walked(want), (lam, nu, weight)
 
     def test_dead_end_walks(self, monkeypatch):
-        # a suffix whose groups all fail is stored as an empty list and
+        # a suffix whose moves all fail is stored as an empty list and
         # built once, however often the walk reaches it again
         built, revisited = [], []
         suffixes = branching._suffixes
 
-        def recorded(shape, k, tails, walk):
-            if (shape, k) not in tails:
-                built.append((shape, k))
-            elif not tails[shape, k]:
-                revisited.append((shape, k))
-            return suffixes(shape, k, tails, walk)
+        def recorded(*args):
+            tails, key = suffix_memo_key(args)
+            if key not in tails:
+                built.append(key)
+            elif not tails[key]:
+                revisited.append(key)
+            return suffixes(*args)
 
         monkeypatch.setattr(branching, "_suffixes", recorded)
-        # the last 3-step frame fails from five shapes at depth 6
+        # the last 3-step frame fails on every move into depth 9 from
+        # some shapes at depth 8, against their shape at depth 6; the
+        # walk reads those empty entries, and the ones whose moves all
+        # lead to one, 9 times again
         lam, nu, weight = (), (3, 3, 3), (1, 1, 1, 3, 3)
         paths = enumerate_std0(lam, nu, 9)
         del built[:]
         got = enumerate_std0(lam, nu, 9, weight)
         assert _walked(got) == _walked(_semistandard_paths(paths, weight))
-        assert len(got) == 1 and len(revisited) == 5
+        assert len(got) == 1 and len(revisited) == 9
         assert built and len(built) == len(set(built))
         # the 7-step frame crosses the split of s = 9 and fails on all 441
         # paths, so every prefix meets an empty list of suffix groups
